@@ -27,13 +27,7 @@ from .graphs import (
     classify_tree,
     is_tree,
 )
-from .canonical import (
-    TreeCanonicalForm,
-    canonical_form,
-    free_code,
-    rooted_code,
-    tree_isomorphic,
-)
+from .canonical import free_code, rooted_code, tree_isomorphic
 from .lobsters import Branch, Lobster, lobster_decompose, reassemble
 from .labelings import (
     ALPHA,
@@ -85,6 +79,7 @@ from .lobster_labeling import (
     balanced_sum_identity,
     classify_lobster,
     label_balanced_lobster,
+    label_by_search,
     label_caterpillar,
     label_diameter4_center_max,
     label_lobster_auto,

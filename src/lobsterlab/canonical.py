@@ -9,18 +9,8 @@ centroids the smaller of the two codes is taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GraphStructureError
 from .graphs import Graph, require_tree
-
-
-@dataclass(frozen=True)
-class TreeCanonicalForm:
-    """Canonical code of a tree; equal codes ⇔ isomorphic trees."""
-
-    code: str
-    rooted: bool
 
 
 def _order_children(g: Graph, root: int) -> tuple[dict[int, list[int]], list[int]]:
@@ -42,16 +32,25 @@ def _order_children(g: Graph, root: int) -> tuple[dict[int, list[int]], list[int
     return children, list(reversed(order))
 
 
-def rooted_code(g: Graph, root: int) -> str:
-    """AHU canonical code of the tree g rooted at `root`."""
-    require_tree(g)
+def rooted_codes(g: Graph, root: int) -> tuple[dict[int, list[int]], dict[int, str]]:
+    """Children lists and the AHU code of every vertex, g a tree rooted at root.
+
+    This is the one AHU (Aho-Hopcroft-Ullman) routine: each vertex's code
+    wraps the sorted codes of its children.
+    """
     if not (0 <= root < g.num_vertices):
         raise GraphStructureError(f"root {root} is not a vertex")
     children, order = _order_children(g, root)
     code: dict[int, str] = {}
     for v in order:
         code[v] = "(" + "".join(sorted(code[c] for c in children[v])) + ")"
-    return code[root]
+    return children, code
+
+
+def rooted_code(g: Graph, root: int) -> str:
+    """AHU canonical code of the tree g rooted at `root`."""
+    require_tree(g)
+    return rooted_codes(g, root)[1][root]
 
 
 def centroids(g: Graph) -> list[int]:
@@ -82,12 +81,6 @@ def free_code(g: Graph) -> str:
     return min(rooted_code(g, c) for c in centroids(g))
 
 
-def canonical_form(g: Graph, root: int | None = None) -> TreeCanonicalForm:
-    if root is None:
-        return TreeCanonicalForm(free_code(g), rooted=False)
-    return TreeCanonicalForm(rooted_code(g, root), rooted=True)
-
-
 def tree_isomorphic(
     t1: Graph, t2: Graph, roots: tuple[int, int] | None = None
 ) -> bool:
@@ -112,18 +105,10 @@ def rooted_isomorphism_map(
     """
     require_tree(t1, "t1")
     require_tree(t2, "t2")
-    if rooted_code(t1, root1) != rooted_code(t2, root2):
+    ch1, code1 = rooted_codes(t1, root1)
+    ch2, code2 = rooted_codes(t2, root2)
+    if code1[root1] != code2[root2]:
         return None
-
-    def codes_of(g: Graph, root: int) -> tuple[dict[int, list[int]], dict[int, str]]:
-        children, order = _order_children(g, root)
-        code: dict[int, str] = {}
-        for v in order:
-            code[v] = "(" + "".join(sorted(code[c] for c in children[v])) + ")"
-        return children, code
-
-    ch1, code1 = codes_of(t1, root1)
-    ch2, code2 = codes_of(t2, root2)
     mapping = {root1: root2}
     stack = [(root1, root2)]
     while stack:

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 negative answer (verification failed, nothing
-found, not coverable), 2 usage or parse error, 3 verification-level failure
-of an input that was expected to verify (or an exhausted search budget).
+found, not coverable), 2 usage or parse error (including a search budget
+that is not a positive number, from the --budget-* options or
+GRACEFUL_BUDGET_SECS), 3 verification-level failure of an input that was
+expected to verify (or an exhausted search budget).
 Output is stable across runs; --format json switches the machine-readable
 subcommands to JSON.
 """
@@ -23,6 +25,7 @@ from .lobsters import lobster_decompose
 from .lobster_labeling import (
     CoverageReport,
     classify_lobster,
+    label_by_search,
     label_lobster_auto,
     label_pairwise_balanced,
     label_pairwise_linked,
@@ -30,10 +33,10 @@ from .lobster_labeling import (
 )
 from .matrices import canonical_adjacency, canonical_biadjacency, matrix_to_graph, shift_ones, transform
 from .search import (
-    BUDGET_EXCEEDED,
     EXHAUSTED,
     FOUND,
     SearchBudget,
+    SearchResult,
     brute_force_alpha,
     brute_force_graceful,
     count_graceful_labelings,
@@ -72,11 +75,28 @@ def _read(path: str) -> str:
 
 
 def _budget_from(args: argparse.Namespace) -> SearchBudget:
-    secs = float(os.environ.get("GRACEFUL_BUDGET_SECS", "60"))
-    if getattr(args, "budget_secs", None) is not None:
-        secs = args.budget_secs
-    nodes = getattr(args, "budget_nodes", None) or 5_000_000
-    vertices = getattr(args, "budget_vertices", None) or 14
+    """The search budget of a subcommand's --budget-* options.
+
+    Seconds default to GRACEFUL_BUDGET_SECS, else 60; nodes to 5 M and
+    vertices to 14.  Every value must be a positive number.
+    """
+    secs, secs_name = args.budget_secs, "--budget-secs"
+    if secs is None:
+        secs_name = "GRACEFUL_BUDGET_SECS"
+        env = os.environ.get(secs_name, "60")
+        try:
+            secs = float(env)
+        except ValueError:
+            raise FormatError(f"GRACEFUL_BUDGET_SECS is not a number: {env!r}") from None
+    nodes = 5_000_000 if args.budget_nodes is None else args.budget_nodes
+    vertices = 14 if args.budget_vertices is None else args.budget_vertices
+    for name, value in (
+        (secs_name, secs),
+        ("--budget-nodes", nodes),
+        ("--budget-vertices", vertices),
+    ):
+        if not value > 0:
+            raise FormatError(f"{name} must be positive, got {value}")
     return SearchBudget(max_vertices=vertices, max_nodes=nodes, time_limit=secs)
 
 
@@ -112,7 +132,7 @@ def cmd_classify(args) -> int:
     lines = [f"class {kind}"]
     if kind in ("path", "caterpillar", "lobster", "single-vertex"):
         lob = lobster_decompose(g)
-        cls = classify_lobster(lob, _budget_from(args))
+        cls = classify_lobster(lob, args.budget)
         flags = {
             "pairwise-isomorphic": cls.pairwise_isomorphic,
             "pairwise-similar": cls.pairwise_similar,
@@ -149,7 +169,7 @@ def _write_certificate(cert: Certificate, out_dir: str) -> None:
 
 def cmd_label(args) -> int:
     g = formats.parse_edges(_read(args.graph))
-    budget = _budget_from(args)
+    budget = args.budget
     strategy = args.strategy
     try:
         if strategy == "auto":
@@ -161,16 +181,10 @@ def cmd_label(args) -> int:
         elif strategy == "similar":
             result = label_pairwise_similar(g, budget)
         else:  # search
-            res = brute_force_graceful(g, budget)
-            if res.status != FOUND:
-                _emit(args, {"status": res.status}, res.status)
-                return NEGATIVE if res.status == EXHAUSTED else VERIFICATION
-            matrix = canonical_adjacency(g, res.labeling)
-            from .lobster_labeling import _lobster_certificate
-
-            result = _lobster_certificate(
-                "search", "beta", matrix, g, {v: v for v in g.vertices()}, {}
-            )
+            result = label_by_search(g, budget)
+            if isinstance(result, SearchResult):
+                _emit(args, {"status": result.status}, result.status)
+                return NEGATIVE if result.status == EXHAUSTED else VERIFICATION
     except LobsterLabError as exc:
         _emit(args, {"error": str(exc)}, f"error {exc}")
         return NEGATIVE
@@ -272,7 +286,7 @@ def cmd_shift(args) -> int:
     kind = classify_tree(g)
     flags = []
     if kind in ("path", "caterpillar", "lobster", "single-vertex"):
-        cls = classify_lobster(lobster_decompose(g), _budget_from(args))
+        cls = classify_lobster(lobster_decompose(g), args.budget)
         for name, value in (
             ("pairwise-isomorphic", cls.pairwise_isomorphic),
             ("pairwise-similar", cls.pairwise_similar),
@@ -288,7 +302,7 @@ def cmd_shift(args) -> int:
 
 def cmd_search(args) -> int:
     g = formats.parse_edges(_read(args.graph))
-    budget = _budget_from(args)
+    budget = args.budget
     if args.count:
         try:
             n = count_graceful_labelings(g, budget)
@@ -310,6 +324,11 @@ def cmd_search(args) -> int:
 def cmd_export_dot(args) -> int:
     g = formats.parse_edges(_read(args.graph))
     f = formats.parse_labeling(_read(args.labeling)) if args.labeling else None
+    if f is not None:
+        verdict = verify_beta(g, f)
+        if not verdict:
+            print(f"fail {verdict.reason}", file=sys.stderr)
+            return VERIFICATION
     sys.stdout.write(formats.export_dot(g, f))
     return OK
 
@@ -394,6 +413,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
+        if hasattr(args, "budget_nodes"):
+            args.budget = _budget_from(args)
         return args.func(args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

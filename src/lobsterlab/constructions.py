@@ -91,11 +91,18 @@ def _certify(
     construction: str,
     claim: str,
     matrix: LabeledMatrix,
-    parts: Sequence[Part],
+    parts: Sequence[Graph],
     vertex_maps: Sequence[Mapping[int, int]],
     copy_maps: Sequence[Mapping[int, int]] | None = None,
     details: dict | None = None,
 ) -> Certificate:
+    """The one place a Certificate is issued.
+
+    The result graph and labeling are read off the grid and re-verified for
+    the claim; then every vertex map (and copy map) must send its part
+    injectively into the result with each part edge present.  Beta claims
+    carry no critical value.
+    """
     graph, labeling = matrix_to_graph(matrix)
     cert = Certificate(
         construction,
@@ -103,7 +110,7 @@ def _certify(
         graph,
         labeling,
         matrix,
-        labeling.critical,
+        None if claim == CLAIM_BETA else labeling.critical,
         tuple(dict(m) for m in vertex_maps),
         tuple(dict(m) for m in (copy_maps or [{} for _ in parts])),
         dict(details or {}),
@@ -111,18 +118,20 @@ def _certify(
     verdict = verify_certificate(cert)
     if not verdict:
         raise ConstructionError(f"{construction}: result failed to verify: {verdict.reason}")
-    for (pg, _), vmap in zip(parts, cert.vertex_maps):
-        _check_embedding(construction, pg, vmap, graph)
-    for (pg, _), cmap in zip(parts, cert.copy_maps):
+    for part, vmap, cmap in zip(parts, cert.vertex_maps, cert.copy_maps):
+        _check_embedding(construction, part, vmap, graph)
         if cmap:
-            _check_embedding(construction, pg, cmap, graph)
+            _check_embedding(construction, part, cmap, graph)
     return cert
 
 
 def _check_embedding(construction: str, part: Graph, vmap: Mapping[int, int], result: Graph) -> None:
+    if any(v not in vmap for v in part.vertices()):
+        raise ConstructionError(f"{construction}: a vertex map misses a part vertex")
+    if len(set(vmap.values())) != len(vmap):
+        raise ConstructionError(f"{construction}: a vertex map is not injective")
     for u, v in part.edges:
-        a, b = vmap[u], vmap[v]
-        if not result.has_edge(a, b):
+        if not result.has_edge(vmap[u], vmap[v]):
             raise ConstructionError(
                 f"{construction}: part edge ({u}, {v}) missing in the result"
             )
@@ -191,21 +200,6 @@ def _require_bipartite(construction: str, parts: Sequence[Part]) -> None:
             )
 
 
-def _padded_colors(g: Graph, f: Labeling, bound: int) -> dict[int, int]:
-    """2-coloring by label over the padded slots 0..bound.
-
-    Pad labels get color 0; real vertices use the graph 2-coloring.
-    """
-    parts = bipartition(g)
-    if parts is None:
-        raise ConstructionError("graph is not bipartite")
-    part0, _ = parts
-    colors = {lab: 0 for lab in range(bound + 1)}
-    for v, lab in f.assignment.items():
-        colors[lab] = 0 if v in part0 else 1
-    return colors
-
-
 # -- doubling -----------------------------------------------------------------
 
 
@@ -239,24 +233,14 @@ def _double_cover_maps(
     anchor label; per connected component the side is fixed by its smallest
     vertex when the anchor lies elsewhere.
     """
-    colors = {}
-    parts = bipartition(g)
-    if parts is None:
-        raise ConstructionError("double cover needs a bipartite part")
-    part0, _ = parts
-    for v in g.vertices():
-        colors[v] = 0 if v in part0 else 1
-    comp_of = {}
-    for comp_id, comp in enumerate(_components(g)):
-        for v in comp:
-            comp_of[v] = comp_id
+    colors = _part_colors(g)
+    comps = connected_components(g)
+    comp_of = {v: comp_id for comp_id, comp in enumerate(comps) for v in comp}
     anchor_vertex = f.vertex_with_label(anchor_label)
-    anchor_side: dict[int, int] = {}
-    for comp_id, comp in enumerate(_components(g)):
-        if comp_id == comp_of[anchor_vertex]:
-            anchor_side[comp_id] = colors[anchor_vertex]
-        else:
-            anchor_side[comp_id] = colors[comp[0]]
+    anchor_side = {
+        comp_id: colors[anchor_vertex if comp_id == comp_of[anchor_vertex] else comp[0]]
+        for comp_id, comp in enumerate(comps)
+    }
     orig: dict[int, int] = {}
     copy: dict[int, int] = {}
     for v, lab in f.assignment.items():
@@ -268,10 +252,6 @@ def _double_cover_maps(
             orig[v] = col_pos(lab)
             copy[v] = row_pos(lab)
     return orig, copy
-
-
-def _components(g: Graph) -> list[list[int]]:
-    return connected_components(g)
 
 
 def double(part: Part, at_label: int) -> Certificate:
@@ -292,7 +272,7 @@ def double(part: Part, at_label: int) -> Certificate:
         "double",
         CLAIM_COMPLETE_ALPHA,
         matrix,
-        [part],
+        [g],
         [orig],
         [copy],
         {"at_label": at_label},
@@ -350,7 +330,7 @@ def disjoint_union_alpha(parts: Sequence[Part]) -> Certificate:
         "disjoint-union",
         CLAIM_ALPHA,
         builder.to_biadjacency(critical),
-        parts,
+        [g for g, _ in parts],
         vertex_maps,
         details={"max_label": total_r + total_c - 1},
     )
@@ -420,7 +400,9 @@ def chain_join_km(parts: Sequence[Part]) -> Certificate:
         _biadjacency_part_map(mat, r0, c0, matrix.num_rows)
         for mat, r0, c0 in zip(mats, row_offsets, col_offsets)
     ]
-    cert = _certify("chain-km", CLAIM_COMPLETE_ALPHA, matrix, parts, vertex_maps)
+    cert = _certify(
+        "chain-km", CLAIM_COMPLETE_ALPHA, matrix, [g for g, _ in parts], vertex_maps
+    )
     expected_k = sum(v.critical for v in verdicts) + len(parts) - 1
     if cert.critical != expected_k:
         raise ConstructionError("chain-km: critical value is off")
@@ -482,7 +464,12 @@ def chain_join_mm(parts: Sequence[Part], mode: str = MODE_ALTERNATING) -> Certif
         for mat, r0, c0 in zip(mats, row_offsets, col_offsets)
     ]
     cert = _certify(
-        "chain-mm", CLAIM_COMPLETE_ALPHA, matrix, parts, vertex_maps, details={"mode": mode}
+        "chain-mm",
+        CLAIM_COMPLETE_ALPHA,
+        matrix,
+        [g for g, _ in parts],
+        vertex_maps,
+        details={"mode": mode},
     )
     # transposed blocks contribute the complement critical m - k - 1; with
     # symmetric spreads (m - k = k + 1) this collapses to sum(k) + r - 1
@@ -556,7 +543,7 @@ def chain_with_copies(parts: Sequence[Part]) -> Certificate:
     vertex_maps.append({v: rh + lab for v, lab in tail_f.assignment.items()})
     copy_maps.append({})
     cert = _certify(
-        "copy-chain", CLAIM_BETA, matrix, parts, vertex_maps, copy_maps
+        "copy-chain", CLAIM_BETA, matrix, [g for g, _ in parts], vertex_maps, copy_maps
     )
     return cert
 
@@ -624,7 +611,7 @@ def star_join(parts: Sequence[Part]) -> Certificate:
         "star-join",
         CLAIM_BETA,
         builder.to_adjacency(),
-        parts,
+        [g for g, _ in parts],
         vertex_maps,
         copy_maps,
         details={"hub": hub},
@@ -734,7 +721,7 @@ def attach_at_vertices(
         "attach",
         CLAIM_BETA,
         builder.to_adjacency(),
-        list(parts) + [h_part],
+        [g for g, _ in parts] + [hg],
         vertex_maps + [h_map],
         details={"relaxed": relaxed},
     )
@@ -863,7 +850,7 @@ def merge_join_chain(parts: Sequence[Part]) -> Certificate:
         vertex_maps.append(orig)
         copy_maps.append(copy)
     cert = _certify(
-        "merge-chain", CLAIM_BETA, matrix, parts, vertex_maps, copy_maps
+        "merge-chain", CLAIM_BETA, matrix, [g for g, _ in parts], vertex_maps, copy_maps
     )
     return cert
 

@@ -7,7 +7,7 @@ edge lists), so print ∘ parse is the identity on canonical files.
 
 from __future__ import annotations
 
-from .errors import FormatError
+from .errors import FormatError, LabelingInputError
 from .graphs import Graph, build_graph
 from .labelings import ALPHA, BETA, Labeling
 from .matrices import ADJACENCY, BIADJACENCY, LabeledMatrix
@@ -84,7 +84,10 @@ def parse_labeling(text: str) -> Labeling:
         if v in assignment:
             raise FormatError(f"vertex {v} labeled twice")
         assignment[v] = lab
-    return Labeling(assignment, kind, critical)
+    try:
+        return Labeling(assignment, kind, critical)
+    except LabelingInputError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # -- matrices ----------------------------------------------------------------
@@ -108,16 +111,21 @@ def parse_matrix(text: str) -> LabeledMatrix:
     if len(lines) < 3:
         raise FormatError("matrix file too short")
     head = lines[0].split()
-    if head[0] == ADJACENCY and len(head) == 3:
-        kind, critical = ADJACENCY, None
+    try:
+        if head[0] == ADJACENCY and len(head) == 3:
+            kind, critical = ADJACENCY, None
+        elif head[0] == BIADJACENCY and len(head) == 4:
+            kind, critical = BIADJACENCY, int(head[3])
+        else:
+            raise ValueError
         rows, cols = int(head[1]), int(head[2])
-    elif head[0] == BIADJACENCY and len(head) == 4:
-        kind, critical = BIADJACENCY, int(head[3])
-        rows, cols = int(head[1]), int(head[2])
-    else:
-        raise FormatError(f"bad matrix header {lines[0]!r}")
-    row_labels = [int(x) for x in lines[1].split()]
-    col_labels = [int(x) for x in lines[2].split()]
+    except ValueError:
+        raise FormatError(f"bad matrix header {lines[0]!r}") from None
+    try:
+        row_labels = [int(x) for x in lines[1].split()]
+        col_labels = [int(x) for x in lines[2].split()]
+    except ValueError:
+        raise FormatError("label lines must hold integers") from None
     if len(row_labels) != rows or len(col_labels) != cols:
         raise FormatError("label lines do not match declared dimensions")
     grid_lines = lines[3:]

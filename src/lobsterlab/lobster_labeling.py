@@ -12,6 +12,11 @@ Three structural classes of lobsters admit certified labelings here:
 
 A dispatcher tries the caterpillar sweep, the three classes and finally
 plain search, returning the first certificate that verifies.
+
+Every glue-max labeling of a lobe or piece comes from one pinned search
+(_glue_max_labeling), and every certificate from one path: _certify_tree
+hands the grid to constructions._certify and then checks that the result
+has the input tree's size, so the certified id map is an isomorphism.
 """
 
 from __future__ import annotations
@@ -40,13 +45,14 @@ from .matrices import (
     LabeledMatrix,
     canonical_adjacency,
     canonical_biadjacency,
-    is_completely_graceful,
-    matrix_to_graph,
 )
 from .constructions import (
     CLAIM_BETA,
     CLAIM_COMPLETE_ALPHA,
     Certificate,
+    _antidiagonal_offsets,
+    _certify,
+    _double_cover_maps,
     chain_km_matrix,
     copy_chain_matrix,
     double_matrix,
@@ -54,7 +60,6 @@ from .constructions import (
     insert_pendant_pair,
     insert_pendant_row,
     merge_chain_matrix,
-    verify_certificate,
 )
 from .search import (
     FOUND,
@@ -257,29 +262,17 @@ def label_balanced_lobster(spec: BalancedLobsterSpec) -> Certificate:
             f"piece is not balanced: equation {bad[0]} fails at index {bad[1]}"
         )
     g, f = balanced_lobster_graph(spec)
-    verdict = verify_alpha(g, f)
-    if not verdict:
-        raise ConstructionError(f"balanced labeling failed to verify: {verdict.reason}")
-    matrix = canonical_biadjacency(g, f)
-    if not is_completely_graceful(matrix):
-        raise ConstructionError("balanced labeling grid is not completely graceful")
-    k, m = spec.expected_critical, spec.expected_max
-    if verdict.critical != k or g.num_edges != m:
-        raise ConstructionError("balanced labeling k/m formulas are off")
-    cert = Certificate(
+    cert = _certify(
         "balanced-piece",
         CLAIM_COMPLETE_ALPHA,
-        g,
-        f,
-        matrix,
-        k,
-        ({v: v for v in g.vertices()},),
-        ({},),
+        canonical_biadjacency(g, f),
+        [g],
+        [{v: v for v in g.vertices()}],
+        None,
         {"spec": spec},
     )
-    check = verify_certificate(cert)
-    if not check:
-        raise ConstructionError(f"balanced certificate failed: {check.reason}")
+    if cert.critical != spec.expected_critical or g.num_edges != spec.expected_max:
+        raise ConstructionError("balanced labeling k/m formulas are off")
     return cert
 
 
@@ -309,15 +302,6 @@ def label_star_lobe(t: Graph, glue: int) -> Labeling:
     return f
 
 
-def _star_lobe_shape(leaf_count: int) -> tuple[Graph, Labeling]:
-    """Canonical single-branch lobe with its glue-max labeling."""
-    if leaf_count < 0:
-        raise ConstructionError("leaf count must be non-negative")
-    edges = [(0, 1)] + [(1, 2 + t) for t in range(leaf_count)]
-    g = build_graph(leaf_count + 2, edges)
-    return g, label_star_lobe(g, 0)
-
-
 def label_diameter4_center_max(
     t: Graph, center: int, budget: SearchBudget | None = None
 ) -> SearchResult:
@@ -334,33 +318,40 @@ def label_diameter4_center_max(
     return search_graceful_with_fixed(t, {center: t.num_edges}, budget)
 
 
-def _label_lobe_glue_max(
-    leaf_counts: Sequence[int], budget: SearchBudget | None = None
-) -> tuple[Graph, Labeling, int] | None:
-    """Glue-max labeling of a lobe shape (glue vertex plus star branches).
+def _piece_graph(
+    glue: int, branches: Sequence[Branch], pendants: Sequence[int]
+) -> tuple[Graph, dict[int, int]]:
+    """Dense graph of a glue vertex with its branches and pendants.
 
-    Returns (graph, labeling, glue id) with glue = 0, branch centers
-    1..b, leaves after; None when the search proves there is none.
+    Returns (graph, input id -> dense id); dense ids follow input id order.
     """
-    counts = list(leaf_counts)
-    b = len(counts)
-    if b == 0:
-        g = build_graph(1, [])
-        return g, Labeling({0: 0}, BETA), 0
-    if b == 1 and counts[0] >= 0:
-        g, f = _star_lobe_shape(counts[0])
-        return g, f, 0
-    edges = [(0, 1 + i) for i in range(b)]
-    nxt = 1 + b
-    for i, c in enumerate(counts):
-        for _ in range(c):
-            edges.append((1 + i, nxt))
-            nxt += 1
-    g = build_graph(nxt, edges)
-    res = search_graceful_with_fixed(g, {0: g.num_edges}, budget)
-    if res.status != FOUND:
-        return None
-    return g, res.labeling, 0
+    ids = [glue]
+    edges = []
+    for br in branches:
+        ids.append(br.center)
+        edges.append((glue, br.center))
+        for leaf in br.leaves:
+            ids.append(leaf)
+            edges.append((br.center, leaf))
+    for pend in pendants:
+        ids.append(pend)
+        edges.append((glue, pend))
+    index = {v: i for i, v in enumerate(sorted(ids))}
+    g = build_graph(len(ids), [(index[a], index[b]) for a, b in edges])
+    return g, index
+
+
+def _glue_max_labeling(
+    g: Graph, glue: int, budget: SearchBudget | None
+) -> SearchResult:
+    """Graceful labeling of a piece graph with the glue vertex labeled m.
+
+    The result carries the search status, so a failure can say whether the
+    search was exhausted or ran out of budget.
+    """
+    if g.num_vertices == 1:
+        return SearchResult(FOUND, Labeling({glue: 0}, BETA))
+    return search_graceful_with_fixed(g, {glue: g.num_edges}, budget)
 
 
 # -- the caterpillar sweep ---------------------------------------------------------
@@ -460,24 +451,21 @@ def _pairwise_isomorphic(lob: Lobster) -> bool:
     )
 
 
-def _multiset_subtract(big: Sequence[int], small: Sequence[int]) -> list[int] | None:
-    counts = Counter(big)
-    counts.subtract(Counter(small))
-    if any(c < 0 for c in counts.values()):
-        return None
-    return sorted(counts.elements())
+_LabeledPiece = tuple[LinkedPiece, Graph, Labeling, dict[int, int]]
 
 
-def _peel_linked(lob: Lobster, budget: SearchBudget | None) -> tuple[LinkedPiece, ...] | None:
+def _peel_linked(lob: Lobster, budget: SearchBudget | None) -> list[_LabeledPiece] | None:
     """Suffix peeling: the last piece is the last reduced lobe; every lobe
     before it sheds a copy of the following piece's branch multiset.
 
-    Fails when the subtraction leaves a deficit or some piece admits no
-    glue-max labeling.  Branches of equal leaf count are interchangeable,
-    so which concrete branch is shed is immaterial.
+    Each piece comes back with its piece graph, a glue-max labeling of it
+    and the input id -> piece id index.  Fails when the subtraction leaves a
+    deficit or some piece admits no glue-max labeling.  Branches of equal
+    leaf count are interchangeable, so which concrete branch is shed is
+    immaterial.
     """
     r = lob.spine_length
-    pieces: list[LinkedPiece | None] = [None] * r
+    pieces: list[_LabeledPiece] = []
     needed: tuple[int, ...] = ()
     for i in range(r - 1, -1, -1):
         lobe = lob.lobes[i]
@@ -494,11 +482,13 @@ def _peel_linked(lob: Lobster, budget: SearchBudget | None) -> tuple[LinkedPiece
             if any(c > 0 for c in counts.values()):
                 return None
         piece = LinkedPiece(lob.spine[i], tuple(keep))
-        if _label_lobe_glue_max([br.leaf_count for br in piece.branches], budget) is None:
+        g, index = _piece_graph(piece.spine_vertex, piece.branches, ())
+        res = _glue_max_labeling(g, index[piece.spine_vertex], budget)
+        if res.status != FOUND:
             return None
-        pieces[i] = piece
+        pieces.append((piece, g, res.labeling, index))
         needed = tuple(br.leaf_count for br in piece.branches)
-    return tuple(p for p in pieces if p is not None)
+    return pieces[::-1]
 
 
 def _balanced_slot_values(
@@ -639,8 +629,9 @@ def classify_lobster(
     isomorphic = any(_pairwise_isomorphic(d) for d in directions)
     linked_pieces = None
     for d in directions:
-        linked_pieces = _peel_linked(d, budget)
-        if linked_pieces is not None:
+        peeled = _peel_linked(d, budget)
+        if peeled is not None:
+            linked_pieces = tuple(piece for piece, _, _, _ in peeled)
             break
     balanced, trivially = _pairwise_balanced(lob)
     return LobsterClassification(
@@ -657,40 +648,24 @@ def classify_lobster(
 # -- certified pipelines -------------------------------------------------------------
 
 
-def _lobster_certificate(
+def _certify_tree(
     construction: str,
     claim: str,
     matrix: LabeledMatrix,
-    source: Graph,
+    t: Graph,
     input_map: dict[int, int],
-    details: dict | None = None,
+    details: dict,
 ) -> Certificate:
-    graph, labeling = matrix_to_graph(matrix)
-    cert = Certificate(
-        construction,
-        claim,
-        graph,
-        labeling,
-        matrix,
-        labeling.critical if claim != CLAIM_BETA else None,
-        (dict(input_map),),
-        ({},),
-        dict(details or {}),
-    )
-    verdict = verify_certificate(cert)
-    if not verdict:
-        raise ConstructionError(f"{construction}: result failed to verify: {verdict.reason}")
-    if len(set(input_map.values())) != len(input_map):
-        raise ConstructionError(f"{construction}: input map is not injective")
-    if len(input_map) != source.num_vertices or graph.num_vertices != source.num_vertices:
+    """Certify a labeling of the input tree t itself.
+
+    constructions._certify re-verifies the grid and checks that input_map
+    sends t injectively into the result with every edge present; a result
+    of t's vertex and edge counts then makes input_map an isomorphism.
+    """
+    cert = _certify(construction, claim, matrix, [t], [input_map], None, details)
+    g = cert.result_graph
+    if (g.num_vertices, g.num_edges) != (t.num_vertices, t.num_edges):
         raise ConstructionError(f"{construction}: result size differs from the input")
-    mapped = {
-        tuple(sorted((input_map[u], input_map[v]))) for u, v in source.edges
-    }
-    if mapped != set(graph.edges):
-        raise ConstructionError(
-            f"{construction}: result is not the input tree under the id map"
-        )
     return cert
 
 
@@ -707,82 +682,34 @@ def _branch_pairing(
     return pairs
 
 
-def _piece_graph(piece: LinkedPiece) -> tuple[Graph, dict[int, int]]:
-    """Dense graph of a piece; returns (graph, original id -> dense id)."""
-    ids = [piece.spine_vertex]
-    edges = []
-    for br in piece.branches:
-        ids.append(br.center)
-        edges.append((piece.spine_vertex, br.center))
-        for leaf in br.leaves:
-            ids.append(leaf)
-            edges.append((br.center, leaf))
-    index = {v: i for i, v in enumerate(sorted(ids))}
-    g = build_graph(len(ids), [(index[a], index[b]) for a, b in edges])
-    return g, index
-
-
-def _glue_max_labeling_for_piece(
-    piece: LinkedPiece, budget: SearchBudget | None
-) -> tuple[Graph, Labeling, dict[int, int]]:
-    g, index = _piece_graph(piece)
-    glue = index[piece.spine_vertex]
-    if g.num_vertices == 1:
-        return g, Labeling({glue: 0}, BETA), index
-    res = search_graceful_with_fixed(g, {glue: g.num_edges}, budget)
-    if res.status != FOUND:
-        raise ConstructionError(
-            f"no glue-max graceful labeling found for the piece at spine vertex "
-            f"{piece.spine_vertex} (status {res.status})"
-        )
-    return g, res.labeling, index
-
-
-def _double_cover_part_maps(
-    g: Graph, f: Labeling
-) -> tuple[dict[int, tuple[str, int]], dict[int, tuple[str, int]]]:
-    """Slot coordinates of the original/copy components of a doubled part."""
-    from .constructions import _double_cover_maps
-
-    orig, copy = _double_cover_maps(
-        g,
-        f,
-        g.num_edges,
-        row_pos=lambda lab: ("row", lab),
-        col_pos=lambda lab: ("col", lab),
-    )
-    return orig, copy
-
-
 def label_pairwise_linked(
     t: Graph, budget: SearchBudget | None = None
 ) -> Certificate:
     """Certified graceful labeling of a pairwise linked lobster.
 
-    Pieces come from suffix peeling; each is labeled glue-max, the pieces
+    Pieces come from suffix peeling, already labeled glue-max; the pieces
     are merged max-into-max along the spine, and leftover pendants enter as
     fresh extreme rows of their part blocks.
     """
     lob = lobster_decompose(t)
-    pieces = None
+    labeled = None
     chosen = lob
     for d in (lob, lob.reversed()):
-        pieces = _peel_linked(d, budget)
-        if pieces is not None:
+        labeled = _peel_linked(d, budget)
+        if labeled is not None:
             chosen = d
             break
-    if pieces is None:
+    if labeled is None:
         raise ConstructionError("no linked decomposition found")
-    r = len(pieces)
+    r = len(labeled)
 
-    labeled = [_glue_max_labeling_for_piece(p, budget) for p in pieces]
-    head_g, head_f, head_index = labeled[0]
+    _, head_g, head_f, head_index = labeled[0]
     head_mat = canonical_adjacency(head_g, head_f)
     for _ in range(len(chosen.pendants[0])):
         head_mat = insert_pendant_pair(head_mat, head_mat.row_labels[-1])
     doubles = []
     for i in range(1, r):
-        g_i, f_i, _ = labeled[i]
+        _, g_i, f_i, _ = labeled[i]
         d = double_matrix(g_i, f_i, g_i.num_edges)
         for _ in range(len(chosen.pendants[i])):
             d = insert_pendant_row(d, None, d.col_labels[-1])
@@ -798,39 +725,43 @@ def label_pairwise_linked(
         input_map[pend] = center_rows[slot]
 
     for i in range(1, r):
-        g_i, f_i, index_i = labeled[i]
+        piece, g_i, f_i, index_i = labeled[i]
         rows, cols = positions[i]
         shift = len(chosen.pendants[i])
-        orig, copy = _double_cover_part_maps(g_i, f_i)
-
-        def place(slot: tuple[str, int], rows=rows, cols=cols, shift=shift) -> int:
-            side, lab = slot
-            return rows[shift + lab] if side == "row" else cols[lab]
-
+        orig, copy = _double_cover_maps(
+            g_i,
+            f_i,
+            g_i.num_edges,
+            row_pos=lambda lab, rows=rows, shift=shift: rows[shift + lab],
+            col_pos=lambda lab, cols=cols: cols[lab],
+        )
         # the piece itself (including spine vertex i) is the copy hanging at
         # spine slot i; the branches shed from lobe i-1 are the original
         # component, glued at spine slot i-1
         for v, dense in index_i.items():
-            input_map[v] = place(copy[dense])
-        kept_centers = {b.center for b in pieces[i - 1].branches}
+            input_map[v] = copy[dense]
+        kept_centers = {b.center for b in labeled[i - 1][0].branches}
         removed = [
             br for br in chosen.lobes[i - 1] if br.center not in kept_centers
         ]
-        for shed, target in _branch_pairing(removed, pieces[i]):
-            input_map[shed.center] = place(orig[index_i[target.center]])
+        for shed, target in _branch_pairing(removed, piece):
+            input_map[shed.center] = orig[index_i[target.center]]
             for a, b in zip(sorted(shed.leaves), sorted(target.leaves)):
-                input_map[a] = place(orig[index_i[b]])
+                input_map[a] = orig[index_i[b]]
         for slot, pend in enumerate(sorted(chosen.pendants[i])):
             input_map[pend] = rows[slot]
 
-    return _lobster_certificate(
+    return _certify_tree(
         "pairwise-linked", CLAIM_BETA, matrix, t, input_map, {"pieces": r}
     )
 
 
+_SimilarPart = tuple[Graph, Labeling, dict[int, int], bool]
+
+
 def _similar_parts(
     chosen: Lobster, budget: SearchBudget | None
-) -> tuple[list[tuple[Graph, Labeling, dict[int, int], bool]], list[int]]:
+) -> tuple[list[_SimilarPart], list[int]]:
     """Glue-max labeled parts for the pairwise similar pipeline.
 
     Returns one entry per lobe pair (plus the unpaired final lobe for odd
@@ -854,41 +785,17 @@ def _similar_parts(
     ]
     parts = []
     for i in range(0, r, 2):
-        g, index = _piece_graph_with_promotion(chosen, i, promoted[i])
-        glue = index[chosen.spine[i]]
-        if g.num_vertices == 1:
-            labeling = Labeling({glue: 0}, BETA)
-        else:
-            res = search_graceful_with_fixed(g, {glue: g.num_edges}, budget)
-            if res.status != FOUND:
-                raise ConstructionError(
-                    f"no glue-max labeling for the lobe at spine vertex "
-                    f"{chosen.spine[i]} (status {res.status})"
-                )
-            labeling = res.labeling
-        parts.append((g, labeling, index, promoted[i]))
+        glue = chosen.spine[i]
+        pulled = sorted(chosen.pendants[i])[:1] if promoted[i] else ()
+        g, index = _piece_graph(glue, chosen.lobes[i], pulled)
+        res = _glue_max_labeling(g, index[glue], budget)
+        if res.status != FOUND:
+            raise ConstructionError(
+                f"no glue-max labeling for the lobe at spine vertex "
+                f"{glue} (status {res.status})"
+            )
+        parts.append((g, res.labeling, index, promoted[i]))
     return parts, leftover
-
-
-def _piece_graph_with_promotion(
-    lob: Lobster, i: int, promote: bool
-) -> tuple[Graph, dict[int, int]]:
-    """Reduced lobe at position i, optionally with one promoted pendant."""
-    ids = [lob.spine[i]]
-    edges = []
-    for br in lob.lobes[i]:
-        ids.append(br.center)
-        edges.append((lob.spine[i], br.center))
-        for leaf in br.leaves:
-            ids.append(leaf)
-            edges.append((br.center, leaf))
-    if promote:
-        pend = sorted(lob.pendants[i])[0]
-        ids.append(pend)
-        edges.append((lob.spine[i], pend))
-    index = {v: j for j, v in enumerate(sorted(ids))}
-    g = build_graph(len(ids), [(index[a], index[b]) for a, b in edges])
-    return g, index
 
 
 def _check_pair_matches(chosen: Lobster, i: int) -> None:
@@ -928,10 +835,7 @@ def label_pairwise_similar(
                 f"{chosen.spine[i + 1]} disagree on branch parity"
             )
     parts, leftover = _similar_parts(chosen, budget)
-
-    if r % 2 == 0:
-        return _similar_even_chain(t, chosen, parts, leftover)
-    return _similar_odd_chain(t, chosen, parts, leftover)
+    return _similar_chain(t, chosen, parts, leftover)
 
 
 def _pendant_augmented_double(
@@ -945,114 +849,69 @@ def _pendant_augmented_double(
     return d
 
 
-def _similar_even_chain(
+def _leftover_pendants(chosen: Lobster, i: int, promoted: bool) -> list[int]:
+    """Pendants at spinal position i that were not promoted into the lobe."""
+    return sorted(chosen.pendants[i])[1 if promoted else 0 :]
+
+
+def _similar_chain(
     t: Graph,
     chosen: Lobster,
-    parts: Sequence[tuple[Graph, Labeling, dict[int, int], bool]],
+    parts: Sequence[_SimilarPart],
     leftover: Sequence[int],
 ) -> Certificate:
-    """Chain of doubled lobes: spine position 2p is the copy, 2p+1 the original."""
-    mats = []
-    for p, (g, f, _, _) in enumerate(parts):
-        mats.append(
-            _pendant_augmented_double(g, f, leftover[2 * p], leftover[2 * p + 1])
-        )
-    matrix = chain_km_matrix(mats)
-    heights = [m.num_rows for m in mats]
-    widths = [m.num_cols for m in mats]
-    row_offsets = [sum(heights[:i]) for i in range(len(mats))]
-    col_offsets = [sum(widths[i + 1 :]) for i in range(len(mats))]
-    total_rows = sum(heights)
+    """Chain of doubled lobes, closed by the final lobe on odd spines.
 
-    input_map: dict[int, int] = {}
-    for p, (g, f, index, promoted) in enumerate(parts):
-        row_shift = leftover[2 * p]
-        col_shift = leftover[2 * p + 1]
-        orig, copy = _double_cover_part_maps(g, f)
-
-        def place(slot, r0=row_offsets[p], c0=col_offsets[p],
-                  rs=row_shift, cs=col_shift) -> int:
-            side, lab = slot
-            if side == "row":
-                return r0 + rs + lab
-            return total_rows + c0 + cs + lab
-
-        # copy hangs at spine position 2p, original at 2p+1
-        _map_similar_pair(
-            input_map, chosen, 2 * p, index, copy, place, promoted
-        )
-        _map_similar_pair(
-            input_map, chosen, 2 * p + 1, index, orig, place, promoted
-        )
-        for slot, pend in enumerate(sorted(chosen.pendants[2 * p])[1 if promoted else 0:]):
-            input_map[pend] = row_offsets[p] + slot
-        for slot, pend in enumerate(sorted(chosen.pendants[2 * p + 1])[1 if promoted else 0:]):
-            input_map[pend] = total_rows + col_offsets[p] + slot
-    return _lobster_certificate(
-        "pairwise-similar", CLAIM_BETA, matrix, t, input_map, {"spine": chosen.spine_length}
-    )
-
-
-def _similar_odd_chain(
-    t: Graph,
-    chosen: Lobster,
-    parts: Sequence[tuple[Graph, Labeling, dict[int, int], bool]],
-    leftover: Sequence[int],
-) -> Certificate:
-    """Copy chain closed by the final lobe as an adjacency block."""
-    head_parts = parts[:-1]
-    mats = []
-    for p, (g, f, _, _) in enumerate(head_parts):
-        mats.append(
-            _pendant_augmented_double(g, f, leftover[2 * p], leftover[2 * p + 1])
-        )
-    tail_g, tail_f, tail_index, tail_promoted = parts[-1]
-    tail_mat = canonical_adjacency(tail_g, tail_f)
-    for _ in range(leftover[-1]):
-        tail_mat = insert_pendant_pair(tail_mat, tail_mat.row_labels[-1])
-    if mats:
-        chain = chain_km_matrix(mats)
-        matrix = copy_chain_matrix(chain, tail_mat)
-        chain_rows = chain.num_rows
-    else:
+    Pair p's copy hangs at spine position 2p and its original at 2p+1.  The
+    doubles chain critical-to-max; an odd spine embeds the chain around the
+    final lobe's adjacency block, so the columns start after that block.
+    """
+    r = chosen.spine_length
+    pairs = parts[: r // 2]
+    if not pairs:
         raise ConstructionError(
             "single-lobe similar lobster: use the linked pipeline instead"
         )
-    heights = [m.num_rows for m in mats]
-    widths = [m.num_cols for m in mats]
-    row_offsets = [sum(heights[:i]) for i in range(len(mats))]
-    col_offsets = [sum(widths[i + 1 :]) for i in range(len(mats))]
-    tail_n = tail_mat.num_rows
-
+    mats = [
+        _pendant_augmented_double(g, f, leftover[2 * p], leftover[2 * p + 1])
+        for p, (g, f, _, _) in enumerate(pairs)
+    ]
+    matrix = chain_km_matrix(mats)
+    col_base = matrix.num_rows
     input_map: dict[int, int] = {}
-    for p, (g, f, index, promoted) in enumerate(head_parts):
-        row_shift = leftover[2 * p]
-        col_shift = leftover[2 * p + 1]
-        orig, copy = _double_cover_part_maps(g, f)
+    if r % 2:
+        tail_g, tail_f, tail_index, tail_promoted = parts[-1]
+        tail_mat = canonical_adjacency(tail_g, tail_f)
+        for _ in range(leftover[-1]):
+            tail_mat = insert_pendant_pair(tail_mat, tail_mat.row_labels[-1])
+        tail_base = matrix.num_rows
+        matrix = copy_chain_matrix(matrix, tail_mat)
+        col_base += tail_mat.num_rows
+        for v, dense in tail_index.items():
+            input_map[v] = tail_base + leftover[-1] + tail_f.assignment[dense]
+        for slot, pend in enumerate(_leftover_pendants(chosen, r - 1, tail_promoted)):
+            input_map[pend] = tail_base + slot
 
-        def place(slot, r0=row_offsets[p], c0=col_offsets[p],
-                  rs=row_shift, cs=col_shift) -> int:
-            side, lab = slot
-            if side == "row":
-                return r0 + rs + lab
-            return chain_rows + tail_n + c0 + cs + lab
-
-        _map_similar_pair(input_map, chosen, 2 * p, index, copy, place, promoted)
-        _map_similar_pair(input_map, chosen, 2 * p + 1, index, orig, place, promoted)
-        for slot, pend in enumerate(sorted(chosen.pendants[2 * p])[1 if promoted else 0:]):
-            input_map[pend] = row_offsets[p] + slot
-        for slot, pend in enumerate(sorted(chosen.pendants[2 * p + 1])[1 if promoted else 0:]):
-            input_map[pend] = chain_rows + tail_n + col_offsets[p] + slot
-    last = chosen.spine_length - 1
-    tail_shift = leftover[-1]
-    for v, dense in tail_index.items():
-        input_map[v] = chain_rows + tail_shift + tail_f.assignment[dense]
-    for slot, pend in enumerate(
-        sorted(chosen.pendants[last])[1 if tail_promoted else 0:]
-    ):
-        input_map[pend] = chain_rows + slot
-    return _lobster_certificate(
-        "pairwise-similar", CLAIM_BETA, matrix, t, input_map, {"spine": chosen.spine_length}
+    row_offsets, col_offsets = _antidiagonal_offsets(
+        [m.num_rows for m in mats], [m.num_cols for m in mats]
+    )
+    for p, (g, f, index, promoted) in enumerate(pairs):
+        r0, c0 = row_offsets[p], col_base + col_offsets[p]
+        orig, copy = _double_cover_maps(
+            g,
+            f,
+            g.num_edges,
+            row_pos=lambda lab, base=r0 + leftover[2 * p]: base + lab,
+            col_pos=lambda lab, base=c0 + leftover[2 * p + 1]: base + lab,
+        )
+        _map_similar_pair(input_map, chosen, 2 * p, index, copy, promoted)
+        _map_similar_pair(input_map, chosen, 2 * p + 1, index, orig, promoted)
+        for slot, pend in enumerate(_leftover_pendants(chosen, 2 * p, promoted)):
+            input_map[pend] = r0 + slot
+        for slot, pend in enumerate(_leftover_pendants(chosen, 2 * p + 1, promoted)):
+            input_map[pend] = c0 + slot
+    return _certify_tree(
+        "pairwise-similar", CLAIM_BETA, matrix, t, input_map, {"spine": r}
     )
 
 
@@ -1061,8 +920,7 @@ def _map_similar_pair(
     chosen: Lobster,
     position: int,
     index: dict[int, int],
-    side_map: dict[int, tuple[str, int]],
-    place,
+    side_map: dict[int, int],
     promoted: bool,
 ) -> None:
     """Map the lobe at a spinal position onto one cover component.
@@ -1070,12 +928,10 @@ def _map_similar_pair(
     The labeled part came from the FIRST lobe of the pair, so the other
     member's vertices travel through the leaf-count pairing of isomorphic
     branches (plus spine vertex to glue, promoted pendant to promoted slot).
+    side_map sends part ids to result ids.
     """
     pair_base = (position // 2) * 2
-    part_spine = chosen.spine[pair_base]
-    own_spine = chosen.spine[position]
-    glue_slot = side_map[index[part_spine]]
-    input_map[own_spine] = place(glue_slot)
+    input_map[chosen.spine[position]] = side_map[index[chosen.spine[pair_base]]]
     part_branches = sorted(
         chosen.lobes[pair_base], key=lambda b: (b.leaf_count, b.center)
     )
@@ -1083,13 +939,13 @@ def _map_similar_pair(
         chosen.lobes[position], key=lambda b: (b.leaf_count, b.center)
     )
     for own, part in zip(own_branches, part_branches):
-        input_map[own.center] = place(side_map[index[part.center]])
+        input_map[own.center] = side_map[index[part.center]]
         for a, b in zip(sorted(own.leaves), sorted(part.leaves)):
-            input_map[a] = place(side_map[index[b]])
+            input_map[a] = side_map[index[b]]
     if promoted:
         part_pend = sorted(chosen.pendants[pair_base])[0]
         own_pend = sorted(chosen.pendants[position])[0]
-        input_map[own_pend] = place(side_map[index[part_pend]])
+        input_map[own_pend] = side_map[index[part_pend]]
 
 
 def label_pairwise_balanced(t: Graph) -> Certificate:
@@ -1105,43 +961,31 @@ def label_pairwise_balanced(t: Graph) -> Certificate:
             f"pairwise balanced needs an even spine, got {r} spinal vertices"
         )
     specs = []
-    assignments = []
+    role_maps = []
     for i in range(0, r - 1, 2):
         spec = _pair_spec(lob, i)
         if spec is None:
             raise ConstructionError(
                 f"spinal pair ({i}, {i + 1}) admits no balanced branch ordering"
             )
-        bad = violated_balance_equation(spec)
-        if bad is not None:
-            raise ConstructionError(
-                f"pair {i // 2}: equation {bad[0]} fails at index {bad[1]}"
-            )
         specs.append(spec)
-        assignments.append(_assign_pair_roles(lob, i, spec))
-    mats = []
-    role_maps = []
-    for spec, role_of in zip(specs, assignments):
-        g, f = balanced_lobster_graph(spec)
-        mats.append(canonical_biadjacency(g, f))
-        role_maps.append(role_of)
+        role_maps.append(_assign_pair_roles(lob, i, spec))
+    mats = [canonical_biadjacency(*balanced_lobster_graph(spec)) for spec in specs]
     matrix = chain_km_matrix(mats)
-    heights = [m.num_rows for m in mats]
-    widths = [m.num_cols for m in mats]
-    row_offsets = [sum(heights[:i]) for i in range(len(mats))]
-    col_offsets = [sum(widths[i + 1 :]) for i in range(len(mats))]
-    total_rows = sum(heights)
+    row_offsets, col_offsets = _antidiagonal_offsets(
+        [m.num_rows for m in mats], [m.num_cols for m in mats]
+    )
     input_map: dict[int, int] = {}
-    for p, (spec, role_of) in enumerate(zip(specs, assignments)):
+    for spec, role_of, r0, c0 in zip(specs, role_maps, row_offsets, col_offsets):
         labels = balanced_role_labels(spec)
         k = spec.expected_critical
         for input_id, role in role_of.items():
             lab = labels[role]
             if lab <= k:
-                input_map[input_id] = row_offsets[p] + lab
+                input_map[input_id] = r0 + lab
             else:
-                input_map[input_id] = total_rows + col_offsets[p] + (lab - k - 1)
-    return _lobster_certificate(
+                input_map[input_id] = matrix.num_rows + c0 + (lab - k - 1)
+    return _certify_tree(
         "pairwise-balanced",
         CLAIM_COMPLETE_ALPHA,
         matrix,
@@ -1193,6 +1037,25 @@ class CoverageReport:
         return False
 
 
+def label_by_search(t: Graph, budget: SearchBudget) -> Certificate | SearchResult:
+    """Certificate of the first labeling exhaustive search finds.
+
+    Returns the search result itself when the search finds none, so its
+    status says whether it was exhausted or ran out of budget.
+    """
+    res = brute_force_graceful(t, budget)
+    if res.status != FOUND:
+        return res
+    return _certify_tree(
+        "search",
+        CLAIM_BETA,
+        canonical_adjacency(t, res.labeling),
+        t,
+        {v: v for v in t.vertices()},
+        {},
+    )
+
+
 def label_lobster_auto(
     t: Graph, budget: SearchBudget | None = None
 ) -> Certificate | CoverageReport:
@@ -1209,11 +1072,10 @@ def label_lobster_auto(
     reasons: list[tuple[str, str]] = []
     if kind in (SINGLE_VERTEX, PATH, CATERPILLAR):
         f = label_caterpillar(t)
-        matrix = canonical_biadjacency(t, f)
-        return _lobster_certificate(
+        return _certify_tree(
             "caterpillar-sweep",
             CLAIM_COMPLETE_ALPHA,
-            matrix,
+            canonical_biadjacency(t, f),
             t,
             {v: v for v in t.vertices()},
             {},
@@ -1238,16 +1100,8 @@ def label_lobster_auto(
             )
         )
         return CoverageReport(tuple(reasons))
-    res = brute_force_graceful(t, search_budget)
-    if res.status == FOUND:
-        matrix = canonical_adjacency(t, res.labeling)
-        return _lobster_certificate(
-            "search",
-            CLAIM_BETA,
-            matrix,
-            t,
-            {v: v for v in t.vertices()},
-            {},
-        )
-    reasons.append(("search", res.status))
+    result = label_by_search(t, search_budget)
+    if isinstance(result, Certificate):
+        return result
+    reasons.append(("search", result.status))
     return CoverageReport(tuple(reasons))

@@ -21,7 +21,6 @@ from .graphs import (
     build_graph,
     classify_tree,
     diameter_path,
-    induced_subgraph,
     require_tree,
 )
 
@@ -196,26 +195,3 @@ def lobster_decompose(t: Graph) -> Lobster:
     if edge_set_of(lob) != t.edges:
         raise GraphStructureError("decomposition does not reproduce the tree")
     return lob
-
-
-def reduced_lobe_subtree(
-    t: Graph, lob: Lobster, i: int
-) -> tuple[Graph, tuple[int, ...]]:
-    """The reduced lobe at spinal position i (spinal vertex plus branches)."""
-    keep = [lob.spine[i]]
-    for br in lob.lobes[i]:
-        keep.append(br.center)
-        keep.extend(br.leaves)
-    return induced_subgraph(t, keep)
-
-
-def full_lobe_subtree(
-    t: Graph, lob: Lobster, i: int
-) -> tuple[Graph, tuple[int, ...]]:
-    """The lobe at spinal position i including pendant vertices."""
-    keep = [lob.spine[i]]
-    for br in lob.lobes[i]:
-        keep.append(br.center)
-        keep.extend(br.leaves)
-    keep.extend(lob.pendants[i])
-    return induced_subgraph(t, keep)

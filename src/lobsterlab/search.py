@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 
 from .errors import GraphStructureError
 from .graphs import Graph, bipartition, build_graph, is_tree
-from .canonical import free_code
+from .canonical import free_code, rooted_codes
 from .labelings import ALPHA, BETA, Labeling
 
 FOUND = "found"
@@ -117,21 +117,7 @@ def _symmetry_groups(g: Graph) -> dict[int, list[int]]:
     an automorphism in any graph.  Counting stays unpruned.
     """
     if is_tree(g):
-        root = _vertex_order(g)[0]
-        parent: dict[int, int] = {root: -1}
-        order = [root]
-        for v in order:
-            for w in g.neighbors(v):
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-        children: dict[int, list[int]] = {v: [] for v in g.vertices()}
-        for v, p in parent.items():
-            if p >= 0:
-                children[p].append(v)
-        code: dict[int, str] = {}
-        for v in reversed(order):
-            code[v] = "(" + "".join(sorted(code[c] for c in children[v])) + ")"
+        children, code = rooted_codes(g, _vertex_order(g)[0])
         out: dict[int, list[int]] = {}
         for p in g.vertices():
             by_code: dict[str, list[int]] = {}

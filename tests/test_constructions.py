@@ -409,3 +409,34 @@ class TestRandomizedSoundness:
                 and widened == cert.result_graph.num_edges
             ):
                 assert brute_force_graceful(cert.result_graph)
+
+
+class TestCertify:
+    def test_non_injective_vertex_map_rejected(self):
+        from lobsterlab.constructions import CLAIM_BETA, _certify
+        from lobsterlab.matrices import canonical_adjacency
+
+        p3 = build_graph(3, [(0, 1), (1, 2)])
+        matrix = canonical_adjacency(p3, beta_labeling({0: 0, 1: 2, 2: 1}))
+        # folds the path onto one edge: every part edge is present, but two
+        # part vertices share an image
+        with pytest.raises(ConstructionError, match="not injective"):
+            _certify("probe", CLAIM_BETA, matrix, [p3], [{0: 0, 1: 1, 2: 0}])
+
+    def test_missing_part_vertex_rejected(self):
+        from lobsterlab.constructions import CLAIM_BETA, _certify
+        from lobsterlab.matrices import canonical_adjacency
+
+        g, f = k2_part()
+        with pytest.raises(ConstructionError, match="misses a part vertex"):
+            _certify("probe", CLAIM_BETA, canonical_adjacency(g, f), [g], [{0: 0}])
+
+    def test_beta_claim_has_no_critical(self, lobster28_part):
+        from lobsterlab.constructions import CLAIM_BETA, _certify
+        from lobsterlab.matrices import canonical_biadjacency
+
+        g, f = lobster28_part
+        ids = {v: v for v in g.vertices()}
+        cert = _certify("probe", CLAIM_BETA, canonical_biadjacency(g, f), [g], [ids])
+        assert cert.critical is None
+        assert cert.copy_maps == ({},)

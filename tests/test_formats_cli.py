@@ -241,3 +241,73 @@ class TestCli:
         first = capsys.readouterr().out
         self.run("classify", str(workdir / "tree9.edges"))
         assert capsys.readouterr().out == first
+
+
+class TestCliBoundary:
+    """Bad budgets and malformed files exit 2 (or 3) with one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "env, options",
+        [
+            ("abc", []),
+            ("0", []),
+            (None, ["--budget-secs", "0"]),
+            (None, ["--budget-secs", "-1.5"]),
+            (None, ["--budget-secs", "nan"]),
+            (None, ["--budget-nodes", "0"]),
+            (None, ["--budget-nodes", "-3"]),
+            (None, ["--budget-vertices", "0"]),
+            (None, ["--budget-vertices", "-1"]),
+        ],
+    )
+    def test_bad_budget_exits_2(self, workdir, capsys, monkeypatch, env, options):
+        if env is None:
+            monkeypatch.delenv("GRACEFUL_BUDGET_SECS", raising=False)
+        else:
+            monkeypatch.setenv("GRACEFUL_BUDGET_SECS", env)
+        code = main(["label", str(workdir / "tree9.edges"), *options])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "budget" in captured.err.lower()
+
+    def test_explicit_budget_secs_overrides_env(self, workdir, capsys, monkeypatch):
+        monkeypatch.setenv("GRACEFUL_BUDGET_SECS", "abc")
+        assert main(["search", str(workdir / "tree9.edges"), "--budget-secs", "5"]) == 0
+
+    @pytest.mark.parametrize(
+        "header",
+        ["adjacency x 3", "biadjacency 2 2 k", "biadjacency 2 2", "adjacency 2"],
+    )
+    def test_shift_bad_matrix_header(self, workdir, capsys, header):
+        matrix = workdir / "bad.txt"
+        matrix.write_text(f"{header}\n0 1\n0 1\n01\n10\n")
+        code = main(["shift", str(matrix), str(workdir / "lobster26.moves")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("parse error: bad matrix header")
+
+    def test_shift_non_integer_labels(self, workdir, capsys):
+        matrix = workdir / "bad.txt"
+        matrix.write_text("adjacency 2 2\n0 a\n0 1\n01\n10\n")
+        assert main(["shift", str(matrix), str(workdir / "lobster26.moves")]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_beta_labeling_with_critical_line(self, workdir, capsys):
+        labels = workdir / "bad.labels"
+        labels.write_text("kind beta\ncritical 1\n0 0\n1 1\n")
+        graph = workdir / "k2.edges"
+        graph.write_text("2 1\n0 1\n")
+        with pytest.raises(FormatError):
+            formats.parse_labeling(labels.read_text())
+        assert main(["verify", str(graph), str(labels)]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_export_dot_partial_labeling(self, workdir, capsys):
+        partial = workdir / "partial.labels"
+        partial.write_text("kind beta\n0 0\n1 1\n")
+        code = main(["export-dot", str(workdir / "tree9.edges"), str(partial)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fail unlabeled-vertex")

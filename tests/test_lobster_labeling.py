@@ -460,3 +460,59 @@ class TestRoundTripInvariant:
                 tuple(sorted((vmap[u], vmap[v]))) for u, v in t.edges
             }
             assert mapped == set(cert.result_graph.edges)
+
+
+class TestTreeCertificate:
+    def test_result_larger_than_the_input_rejected(self):
+        from lobsterlab.constructions import CLAIM_BETA, _certify
+        from lobsterlab.labelings import beta_labeling
+        from lobsterlab.lobster_labeling import _certify_tree
+        from lobsterlab.matrices import canonical_adjacency
+
+        p3 = build_graph(3, [(0, 1), (1, 2)])
+        p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        matrix = canonical_adjacency(p4, beta_labeling({0: 0, 1: 3, 2: 1, 3: 2}))
+        ids = {0: 0, 1: 1, 2: 2}
+        # an injective, edge-preserving map into a bigger tree is a valid
+        # embedding, but not a labeling of the input lobster itself
+        assert _certify("probe", CLAIM_BETA, matrix, [p3], [ids])
+        with pytest.raises(ConstructionError, match="size differs"):
+            _certify_tree("probe", CLAIM_BETA, matrix, p3, ids, {})
+
+
+class TestGlueMaxSearchCalls:
+    """The linked route labels each piece while peeling, never twice."""
+
+    @pytest.fixture()
+    def searched(self, monkeypatch):
+        import lobsterlab.lobster_labeling as ll
+
+        sizes: list[int] = []
+        original = ll.search_graceful_with_fixed
+
+        def counting(g, fixed, budget=None):
+            sizes.append(g.num_vertices)
+            return original(g, fixed, budget)
+
+        monkeypatch.setattr(ll, "search_graceful_with_fixed", counting)
+        return sizes
+
+    def test_one_search_per_multi_vertex_piece(self, searched):
+        t = make_lobster([([1, 2, 2, 1, 1, 3], 1), ([1, 1, 3], 2)])
+        cert = label_pairwise_linked(t)
+        assert cert.details["pieces"] == 2
+        # pieces {1, 1, 3} and the shed remainder {1, 2, 2}, first direction
+        assert sorted(searched) == [9, 9]
+
+    def test_single_vertex_piece_is_not_searched(self, searched):
+        t = make_lobster([([1, 1, 1], 0), ([1, 1, 1], 0)])
+        cert = label_pairwise_linked(t)
+        assert cert.details["pieces"] == 2
+        assert searched == [7]
+
+    def test_failed_direction_searches_until_it_fails(self, searched):
+        # the last lobe {1, 2} has no glue-max labeling in either direction
+        t = make_lobster([([1, 2], 0), ([1, 2], 0)])
+        with pytest.raises(ConstructionError, match="no linked decomposition"):
+            label_pairwise_linked(t)
+        assert searched == [6, 6]
