@@ -7,7 +7,7 @@ edge lists), so print ∘ parse is the identity on canonical files.
 
 from __future__ import annotations
 
-from .errors import FormatError, LabelingInputError
+from .errors import FormatError, GraphStructureError, LabelingInputError, MatrixError
 from .graphs import Graph, build_graph
 from .labelings import ALPHA, BETA, Labeling
 from .matrices import ADJACENCY, BIADJACENCY, LabeledMatrix
@@ -42,7 +42,10 @@ def parse_edges(text: str) -> Graph:
         except ValueError as exc:
             raise FormatError(f"bad edge line {line!r}") from exc
         edges.append((u, v))
-    return build_graph(n, edges)
+    try:
+        return build_graph(n, edges)
+    except GraphStructureError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # -- labelings ---------------------------------------------------------------
@@ -139,7 +142,10 @@ def parse_matrix(text: str) -> LabeledMatrix:
     # file carries labels only; vertex ids are taken from the labels
     row_slots = tuple((lab, lab) for lab in row_labels)
     col_slots = tuple((lab, lab) for lab in col_labels)
-    return LabeledMatrix(kind, tuple(grid), row_slots, col_slots, critical)
+    try:
+        return LabeledMatrix(kind, tuple(grid), row_slots, col_slots, critical)
+    except MatrixError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # -- shift moves -------------------------------------------------------------

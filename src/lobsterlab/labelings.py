@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import LabelingInputError
-from .graphs import Graph, bipartition
+from .graphs import Graph
 
 BETA = "beta"
 ALPHA = "alpha"
@@ -160,22 +160,3 @@ def verify_alpha(g: Graph, f: Labeling, max_label: int | None = None) -> Verdict
         )
     return Verdict(True, critical=k)
 
-
-def alpha_parts(g: Graph, f: Labeling, k: int) -> tuple[set[int], set[int]]:
-    """The bipartition an alpha labeling induces: labels <= k vs > k."""
-    low = {v for v in g.vertices() if f.assignment[v] <= k}
-    high = set(g.vertices()) - low
-    return low, high
-
-
-def alpha_parts_are_bipartition(g: Graph, f: Labeling, k: int) -> bool:
-    """Structural check that the alpha split is a genuine 2-coloring."""
-    parts = bipartition(g)
-    if parts is None:
-        return False
-    low, _ = alpha_parts(g, f, k)
-    ok = all(
-        (u in low) != (v in low)
-        for u, v in g.edges
-    )
-    return ok

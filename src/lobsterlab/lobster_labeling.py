@@ -13,8 +13,9 @@ Three structural classes of lobsters admit certified labelings here:
 A dispatcher tries the caterpillar sweep, the three classes and finally
 plain search, returning the first certificate that verifies.
 
-Every glue-max labeling of a lobe or piece comes from one pinned search
-(_glue_max_labeling), and every certificate from one path: _certify_tree
+Every glue-max labeling of a lobe or piece comes from one helper
+(_glue_max_labeling: a single branch directly, any other piece by pinned
+search), and every certificate from one path: _certify_tree
 hands the grid to constructions._certify and then checks that the result
 has the input tree's size, so the certified id map is an isomorphism.
 """
@@ -346,11 +347,15 @@ def _glue_max_labeling(
 ) -> SearchResult:
     """Graceful labeling of a piece graph with the glue vertex labeled m.
 
-    The result carries the search status, so a failure can say whether the
-    search was exhausted or ran out of budget.
+    A lone glue vertex and a single branch (glue - center - leaves) are
+    labeled directly, whatever their size; any other piece goes to the
+    pinned search.  The result carries the search status, so a failure can
+    say whether the search was exhausted or ran out of budget.
     """
     if g.num_vertices == 1:
         return SearchResult(FOUND, Labeling({glue: 0}, BETA))
+    if g.degree(glue) == 1 and g.degree(g.neighbors(glue)[0]) == g.num_vertices - 1:
+        return SearchResult(FOUND, label_star_lobe(g, glue))
     return search_graceful_with_fixed(g, {glue: g.num_edges}, budget)
 
 

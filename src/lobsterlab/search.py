@@ -1,16 +1,22 @@
 """Exhaustive search: the independent ground truth for everything else.
 
-Backtracking assigns labels to vertices in a fixed order (descending degree,
-ties by id), pruning duplicate vertex and edge labels, so results are
-deterministic.  The existence search halves its space with the complement
-symmetry f -> m - f; the counting variant runs unpruned because it counts
-labelings as functions.
+One backtracking kernel, `_backtrack`, runs all four searches.  It labels
+vertices in a fixed order (the interior depth-first from a highest-degree
+vertex, then the leaves grouped under their parents, see `_vertex_order`),
+so results are deterministic.  Each vertex gets a label window:
+- graceful: 0..m, the first vertex at most m // 2 (the complement
+  f -> m - f covers the rest), with symmetry cuts on sibling groups;
+- pinned: a one-label window per pinned vertex, 0..m elsewhere, no cuts;
+- alpha: per side and critical value k, 0..k on the low side and k+1..m,
+  tried downwards, on the high side, with symmetry cuts;
+- count: 0..m with no cuts, since it counts labelings as functions.
+Duplicate vertex and edge labels are pruned.  Tick rule: a used label is
+skipped for free, every other label tried costs one node of the budget.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -139,30 +145,97 @@ def _symmetry_groups(g: Graph) -> dict[int, list[int]]:
     }
 
 
-def _group_window(
-    v: int,
+def _backtrack(
+    g: Graph,
+    order: list[int],
+    clock: _Clock,
+    windows: list[tuple[int, int, bool]],
     groups: dict[int, list[int]],
-    assignment: dict[int, int],
-    ascending: bool,
-) -> tuple[int, int]:
-    """Label window (lo, hi) forced on v by its placed group siblings."""
-    group = groups.get(v)
-    lo, hi = 0, 1 << 30
-    if group is None:
-        return lo, hi
-    for w in group:
-        if w == v or w not in assignment:
-            continue
-        before = (w < v) == ascending
-        if before:
-            lo = max(lo, assignment[w] + 1)
-        else:
-            hi = min(hi, assignment[w] - 1)
-    return lo, hi
+    count: bool = False,
+) -> tuple[int, dict[int, int] | None]:
+    """The one search: label `order` depth-first within per-vertex windows.
+
+    Vertex v tries the labels windows[v] = (lo, hi, descending) allows,
+    narrowed by its placed symmetry-group siblings.  A used label is skipped
+    before the clock ticks, so a node is one label actually tried.  Returns
+    how many complete labelings were reached (at most one unless counting)
+    and the first of them; the caller reads clock.expired for a budget stop.
+    """
+    m = g.num_edges
+    assignment: dict[int, int] = {}
+    used_labels = [False] * (m + 1)
+    used_edges = [False] * (m + 1)
+    found = 0
+    first: dict[int, int] | None = None
+
+    def rec(depth: int) -> bool:
+        """Place order[depth:]; True means stop (found, or out of budget)."""
+        nonlocal found, first
+        if depth == len(order):
+            found += 1
+            if first is None:
+                first = dict(assignment)
+            return not count
+        v = order[depth]
+        lo, hi, descending = windows[v]
+        for w in groups.get(v, ()):
+            if w in assignment:
+                # siblings take labels in member order along the window
+                if (w < v) != descending:
+                    lo = max(lo, assignment[w] + 1)
+                else:
+                    hi = min(hi, assignment[w] - 1)
+        for lab in range(hi, lo - 1, -1) if descending else range(lo, hi + 1):
+            if used_labels[lab]:
+                continue
+            if not clock.tick():
+                return True
+            touched = []
+            for w in g.neighbors(v):
+                if w in assignment:
+                    d = abs(lab - assignment[w])
+                    if d == 0 or used_edges[d]:
+                        break
+                    used_edges[d] = True
+                    touched.append(d)
+            else:
+                used_labels[lab] = True
+                assignment[v] = lab
+                if rec(depth + 1):
+                    return True
+                del assignment[v]
+                used_labels[lab] = False
+            for d in touched:
+                used_edges[d] = False
+        return False
+
+    rec(0)
+    return found, first
+
+
+def _new_clock(budget: SearchBudget) -> _Clock:
+    return _Clock(time.monotonic() + budget.time_limit, budget.max_nodes)
+
+
+def _result(
+    first: dict[int, int] | None,
+    clock: _Clock,
+    kind: str = BETA,
+    critical: int | None = None,
+) -> SearchResult:
+    if first is not None:
+        return SearchResult(FOUND, Labeling(first, kind, critical), clock.nodes)
+    if clock.expired:
+        return SearchResult(BUDGET_EXCEEDED, nodes=clock.nodes)
+    return SearchResult(EXHAUSTED, nodes=clock.nodes)
 
 
 def brute_force_graceful(g: Graph, budget: SearchBudget | None = None) -> SearchResult:
-    """First graceful labeling in the fixed exploration order, if any."""
+    """First graceful labeling in the fixed exploration order, if any.
+
+    The complement f -> m - f lets the first vertex stay at or below m // 2,
+    and the symmetry groups order interchangeable siblings.
+    """
     budget = budget or SearchBudget()
     m = g.num_edges
     if g.num_vertices > m + 1:
@@ -172,56 +245,11 @@ def brute_force_graceful(g: Graph, budget: SearchBudget | None = None) -> Search
     if g.num_vertices > budget.max_vertices:
         return SearchResult(BUDGET_EXCEEDED)
     order = _vertex_order(g)
-    clock = _Clock(time.monotonic() + budget.time_limit, budget.max_nodes)
-    assignment: dict[int, int] = {}
-    used_labels = [False] * (m + 1)
-    used_edges = [False] * (m + 1)
-    groups = _symmetry_groups(g)
-
-    def place(v: int, lab: int) -> list[int] | None:
-        touched = []
-        for w in g.neighbors(v):
-            if w in assignment:
-                d = abs(lab - assignment[w])
-                if d == 0 or used_edges[d]:
-                    for t in touched:
-                        used_edges[t] = False
-                    return None
-                used_edges[d] = True
-                touched.append(d)
-        return touched
-
-    def rec(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        v = order[depth]
-        lo, hi = _group_window(v, groups, assignment, ascending=True)
-        hi = min(hi, m // 2 if depth == 0 else m)
-        for lab in range(lo, hi + 1):
-            if used_labels[lab]:
-                continue
-            if not clock.tick():
-                return False
-            touched = place(v, lab)
-            if touched is None:
-                continue
-            used_labels[lab] = True
-            assignment[v] = lab
-            if rec(depth + 1):
-                return True
-            del assignment[v]
-            used_labels[lab] = False
-            for d in touched:
-                used_edges[d] = False
-            if clock.expired:
-                return False
-        return False
-
-    if rec(0):
-        return SearchResult(FOUND, Labeling(dict(assignment), BETA), clock.nodes)
-    if clock.expired:
-        return SearchResult(BUDGET_EXCEEDED, nodes=clock.nodes)
-    return SearchResult(EXHAUSTED, nodes=clock.nodes)
+    windows = [(0, m, False)] * g.num_vertices
+    windows[order[0]] = (0, m // 2, False)
+    clock = _new_clock(budget)
+    _, first = _backtrack(g, order, clock, windows, _symmetry_groups(g))
+    return _result(first, clock)
 
 
 def search_graceful_with_fixed(
@@ -229,8 +257,8 @@ def search_graceful_with_fixed(
 ) -> SearchResult:
     """Graceful search with some vertex labels pinned in advance.
 
-    No symmetry cuts apply (they could move a pinned vertex), so this is a
-    plain exhaustive backtracking over the free vertices.
+    Pinned vertices go first, each with a one-label window.  No symmetry
+    cuts apply (they could move a pinned vertex).
     """
     budget = budget or SearchBudget()
     m = g.num_edges
@@ -243,114 +271,23 @@ def search_graceful_with_fixed(
             return SearchResult(EXHAUSTED)
         if not (0 <= v < g.num_vertices):
             raise GraphStructureError(f"pinned vertex {v} is not in the graph")
-    order = [v for v in sorted(fixed)] + [
-        v for v in _vertex_order(g) if v not in fixed
+    order = sorted(fixed) + [v for v in _vertex_order(g) if v not in fixed]
+    windows = [
+        (fixed[v], fixed[v], False) if v in fixed else (0, m, False)
+        for v in g.vertices()
     ]
-    clock = _Clock(time.monotonic() + budget.time_limit, budget.max_nodes)
-    assignment: dict[int, int] = {}
-    used_labels = [False] * (m + 1)
-    used_edges = [False] * (m + 1)
-
-    def place(v: int, lab: int) -> list[int] | None:
-        if used_labels[lab]:
-            return None
-        touched = []
-        for w in g.neighbors(v):
-            if w in assignment:
-                d = abs(lab - assignment[w])
-                if d == 0 or used_edges[d]:
-                    for t in touched:
-                        used_edges[t] = False
-                    return None
-                used_edges[d] = True
-                touched.append(d)
-        used_labels[lab] = True
-        assignment[v] = lab
-        return touched
-
-    def unplace(v: int, lab: int, touched: list[int]) -> None:
-        del assignment[v]
-        used_labels[lab] = False
-        for d in touched:
-            used_edges[d] = False
-
-    def rec(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        v = order[depth]
-        labels = [fixed[v]] if v in fixed else range(m + 1)
-        for lab in labels:
-            if not clock.tick():
-                return False
-            touched = place(v, lab)
-            if touched is None:
-                continue
-            if rec(depth + 1):
-                return True
-            unplace(v, lab, touched)
-            if clock.expired:
-                return False
-        return False
-
-    if rec(0):
-        return SearchResult(FOUND, Labeling(dict(assignment), BETA), clock.nodes)
-    if clock.expired:
-        return SearchResult(BUDGET_EXCEEDED, nodes=clock.nodes)
-    return SearchResult(EXHAUSTED, nodes=clock.nodes)
-
-
-def brute_force_graceful_unpruned(g: Graph) -> SearchResult:
-    """Reference search without the complement symmetry (tests only)."""
-    m = g.num_edges
-    if g.num_vertices > m + 1:
-        return SearchResult(EXHAUSTED)
-    order = _vertex_order(g)
-    assignment: dict[int, int] = {}
-    used_labels = [False] * (m + 1)
-    used_edges = [False] * (m + 1)
-
-    def rec(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        v = order[depth]
-        for lab in range(m + 1):
-            if used_labels[lab]:
-                continue
-            ok = True
-            touched = []
-            for w in g.neighbors(v):
-                if w in assignment:
-                    d = abs(lab - assignment[w])
-                    if d == 0 or used_edges[d]:
-                        ok = False
-                        break
-                    used_edges[d] = True
-                    touched.append(d)
-            if not ok:
-                for d in touched:
-                    used_edges[d] = False
-                continue
-            used_labels[lab] = True
-            assignment[v] = lab
-            if rec(depth + 1):
-                return True
-            del assignment[v]
-            used_labels[lab] = False
-            for d in touched:
-                used_edges[d] = False
-        return False
-
-    if rec(0):
-        return SearchResult(FOUND, Labeling(dict(assignment), BETA))
-    return SearchResult(EXHAUSTED)
+    clock = _new_clock(budget)
+    _, first = _backtrack(g, order, clock, windows, {})
+    return _result(first, clock)
 
 
 def brute_force_alpha(g: Graph, budget: SearchBudget | None = None) -> SearchResult:
     """First alpha labeling found; non-bipartite graphs fail immediately.
 
-    The search fixes a side assignment and a critical value k, then restricts
-    each vertex's candidate labels to its side's range, which keeps the
-    straddle condition true by construction.
+    The search fixes a side assignment and a critical value k, then gives
+    the low side the window 0..k and the high side k+1..m (tried from the
+    top), which keeps the straddle condition true by construction.  All
+    (side, k) runs share one clock.
     """
     budget = budget or SearchBudget()
     m = g.num_edges
@@ -362,68 +299,20 @@ def brute_force_alpha(g: Graph, budget: SearchBudget | None = None) -> SearchRes
     if g.num_vertices > budget.max_vertices:
         return SearchResult(BUDGET_EXCEEDED)
     order = _vertex_order(g)
-    clock = _Clock(time.monotonic() + budget.time_limit, budget.max_nodes)
+    clock = _new_clock(budget)
     groups = _symmetry_groups(g)
-
-    part0, part1 = parts
-    for low_side in (part0, part1):
-        high_side = set(g.vertices()) - low_side
+    for low_side in parts:
         for k in range(m + 1):
-            if len(low_side) > k + 1 or len(high_side) > m - k:
+            if len(low_side) > k + 1 or g.num_vertices - len(low_side) > m - k:
                 continue
-            assignment: dict[int, int] = {}
-            used_labels = [False] * (m + 1)
-            used_edges = [False] * (m + 1)
-
-            def rec(depth: int) -> bool:
-                if depth == len(order):
-                    return True
-                v = order[depth]
-                low = v in low_side
-                side_lo, side_hi = (0, k) if low else (k + 1, m)
-                # the high side tries large labels first, so group windows
-                # there run descending with member order
-                glo, ghi = _group_window(v, groups, assignment, ascending=low)
-                lo, hi = max(side_lo, glo), min(side_hi, ghi)
-                labels = range(lo, hi + 1) if low else range(hi, lo - 1, -1)
-                for lab in labels:
-                    if used_labels[lab]:
-                        continue
-                    if not clock.tick():
-                        return False
-                    ok = True
-                    touched = []
-                    for w in g.neighbors(v):
-                        if w in assignment:
-                            d = abs(lab - assignment[w])
-                            if d == 0 or used_edges[d]:
-                                ok = False
-                                break
-                            used_edges[d] = True
-                            touched.append(d)
-                    if not ok:
-                        for d in touched:
-                            used_edges[d] = False
-                        continue
-                    used_labels[lab] = True
-                    assignment[v] = lab
-                    if rec(depth + 1):
-                        return True
-                    del assignment[v]
-                    used_labels[lab] = False
-                    for d in touched:
-                        used_edges[d] = False
-                    if clock.expired:
-                        return False
-                return False
-
-            if rec(0):
-                return SearchResult(
-                    FOUND, Labeling(dict(assignment), ALPHA, k), clock.nodes
-                )
-            if clock.expired:
-                return SearchResult(BUDGET_EXCEEDED, nodes=clock.nodes)
-    return SearchResult(EXHAUSTED, nodes=clock.nodes)
+            windows = [
+                (0, k, False) if v in low_side else (k + 1, m, True)
+                for v in g.vertices()
+            ]
+            _, first = _backtrack(g, order, clock, windows, groups)
+            if first is not None or clock.expired:
+                return _result(first, clock, ALPHA, k)
+    return _result(None, clock)
 
 
 def count_graceful_labelings(g: Graph, budget: SearchBudget | None = None) -> int:
@@ -436,48 +325,12 @@ def count_graceful_labelings(g: Graph, budget: SearchBudget | None = None) -> in
         raise GraphStructureError(
             f"counting limited to {budget.max_vertices} vertices"
         )
-    order = _vertex_order(g)
-    clock = _Clock(time.monotonic() + budget.time_limit, budget.max_nodes)
-    assignment: dict[int, int] = {}
-    used_labels = [False] * (m + 1)
-    used_edges = [False] * (m + 1)
-    count = 0
-
-    def rec(depth: int) -> None:
-        nonlocal count
-        if depth == len(order):
-            count += 1
-            return
-        v = order[depth]
-        for lab in range(m + 1):
-            if used_labels[lab]:
-                continue
-            if not clock.tick():
-                raise TimeoutError("search budget exceeded")
-            ok = True
-            touched = []
-            for w in g.neighbors(v):
-                if w in assignment:
-                    d = abs(lab - assignment[w])
-                    if d == 0 or used_edges[d]:
-                        ok = False
-                        break
-                    used_edges[d] = True
-                    touched.append(d)
-            if not ok:
-                for d in touched:
-                    used_edges[d] = False
-                continue
-            used_labels[lab] = True
-            assignment[v] = lab
-            rec(depth + 1)
-            del assignment[v]
-            used_labels[lab] = False
-            for d in touched:
-                used_edges[d] = False
-
-    rec(0)
-    return count
+    clock = _new_clock(budget)
+    windows = [(0, m, False)] * g.num_vertices
+    found, _ = _backtrack(g, _vertex_order(g), clock, windows, {}, count=True)
+    if clock.expired:
+        raise GraphStructureError("search budget exceeded")
+    return found
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -524,12 +377,3 @@ def prufer_to_tree(seq: tuple[int, ...], n: int) -> Graph:
     edges.append((u, v))
     return build_graph(n, edges)
 
-
-def count_trees_via_prufer(n: int) -> int:
-    """Independent tree count: decode every sequence, dedupe by code."""
-    if n == 1 or n == 2:
-        return 1
-    codes = set()
-    for seq in itertools.product(range(n), repeat=n - 2):
-        codes.add(free_code(prufer_to_tree(seq, n)))
-    return len(codes)

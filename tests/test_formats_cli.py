@@ -185,6 +185,15 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.strip() == "count 4"
 
+    def test_search_count_budget_exceeded(self, tmp_path, capsys):
+        p3 = tmp_path / "p3.edges"
+        p3.write_text("3 2\n0 1\n1 2\n")
+        code = self.run("search", str(p3), "--count", "--budget-nodes", "2")
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fail search budget exceeded\n"
+
     def test_classify_text(self, workdir, capsys):
         code = self.run("classify", str(workdir / "tree9.edges"))
         assert code == 0
@@ -292,6 +301,29 @@ class TestCliBoundary:
         matrix.write_text("adjacency 2 2\n0 a\n0 1\n01\n10\n")
         assert main(["shift", str(matrix), str(workdir / "lobster26.moves")]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("shift", "adjacency 2 2\n0 1\n0 1\n11\n10\n", "principal diagonal"),
+            ("shift", "adjacency 2 2\n0 1\n0 1\n01\n00\n", "not symmetric"),
+            ("search", "2 1\n0 5\n", "endpoint out of range"),
+            ("search", "2 1\n1 1\n", "self-loop"),
+            ("search", "3 2\n0 1\n1 0\n", "duplicate edge"),
+        ],
+    )
+    def test_invalid_structure_is_a_parse_error(
+        self, workdir, capsys, command, text, message
+    ):
+        path = workdir / "bad.txt"
+        path.write_text(text)
+        extra = [str(workdir / "lobster26.moves")] if command == "shift" else []
+        assert main([command, str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_beta_labeling_with_critical_line(self, workdir, capsys):
         labels = workdir / "bad.labels"

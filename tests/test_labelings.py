@@ -5,17 +5,24 @@ import random
 import pytest
 
 from lobsterlab.errors import LabelingInputError
-from lobsterlab.graphs import build_graph
+from lobsterlab.graphs import bipartition, build_graph
 from lobsterlab.labelings import (
     Labeling,
     alpha_labeling,
-    alpha_parts_are_bipartition,
     augment_hat,
     beta_labeling,
     verify_alpha,
     verify_beta,
 )
 from lobsterlab.matrices import canonical_adjacency, is_graceful_grid, matrix_to_graph
+
+
+def alpha_parts_are_bipartition(g, f, k):
+    """The alpha split, labels <= k against labels > k, is a 2-coloring."""
+    if bipartition(g) is None:
+        return False
+    low = {v for v in g.vertices() if f.assignment[v] <= k}
+    return all((u in low) != (v in low) for u, v in g.edges)
 
 
 def path_graph(n):

@@ -431,6 +431,14 @@ class TestAutoDispatcher:
             "pairwise-balanced",
         )
 
+    def test_single_branch_piece_above_the_vertex_budget(self):
+        # the shed piece {14} has 16 vertices, more than the default
+        # budget's 14, but a single branch needs no search
+        t = make_lobster([([2, 14], 1), ([2], 0)])
+        cert = label_lobster_auto(t)
+        assert cert.construction == "pairwise-linked"
+        assert verify_beta(cert.result_graph, cert.result_labeling)
+
     def test_deeper_tree_rejected(self):
         legs = build_graph(
             10,
@@ -509,6 +517,12 @@ class TestGlueMaxSearchCalls:
         cert = label_pairwise_linked(t)
         assert cert.details["pieces"] == 2
         assert searched == [7]
+
+    def test_single_branch_piece_is_not_searched(self, searched):
+        t = make_lobster([([2, 14], 1), ([2], 0)])
+        cert = label_pairwise_linked(t)
+        assert cert.details["pieces"] == 2
+        assert searched == []
 
     def test_failed_direction_searches_until_it_fails(self, searched):
         # the last lobe {1, 2} has no glue-max labeling in either direction

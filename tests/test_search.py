@@ -1,7 +1,23 @@
+"""Exhaustive search: behaviour cases plus a recorded snapshot.
+
+`test_search_matches_recording` compares statuses, node counts and
+labelings with fixtures/golden/search.json.  To re-record after an
+intended change to the search:
+
+    PYTHONPATH=src python tests/test_search.py
+"""
+
 from __future__ import annotations
+
+import itertools
+import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from lobsterlab.canonical import free_code
 from lobsterlab.errors import GraphStructureError
 from lobsterlab.graphs import build_graph
 from lobsterlab.labelings import verify_alpha, verify_beta
@@ -11,13 +27,35 @@ from lobsterlab.search import (
     SearchBudget,
     brute_force_alpha,
     brute_force_graceful,
-    brute_force_graceful_unpruned,
     count_graceful_labelings,
-    count_trees_via_prufer,
     enumerate_trees,
+    prufer_to_tree,
+    search_graceful_with_fixed,
 )
 
+SEARCH_GOLDEN = Path(__file__).parent / "fixtures" / "golden" / "search.json"
+
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
+
+
+def count_trees_via_prufer(n):
+    """Independent tree count: decode every sequence, dedupe by code."""
+    if n == 1 or n == 2:
+        return 1
+    codes = set()
+    for seq in itertools.product(range(n), repeat=n - 2):
+        codes.add(free_code(prufer_to_tree(seq, n)))
+    return len(codes)
+
+
+def permutation_count(g):
+    """Graceful labelings counted by trying every injection into 0..m."""
+    m = g.num_edges
+    edges = list(g.edges)
+    return sum(
+        len({abs(f[u] - f[v]) for u, v in edges}) == m
+        for f in itertools.permutations(range(m + 1), g.num_vertices)
+    )
 
 
 def path_graph(n):
@@ -58,14 +96,11 @@ class TestBruteForceGraceful:
         assert brute_force_graceful(build_graph(3, [])).status == EXHAUSTED
 
     def test_symmetry_pruning_complete_on_small_graphs(self):
-        for n in range(2, 7):
-            for t in enumerate_trees(n):
-                assert bool(brute_force_graceful(t)) == bool(
-                    brute_force_graceful_unpruned(t)
-                )
-        assert bool(brute_force_graceful(cycle_graph(5))) == bool(
-            brute_force_graceful_unpruned(cycle_graph(5))
-        )
+        graphs = [t for n in range(1, 9) for t in enumerate_trees(n)]
+        for g in graphs + [cycle_graph(5)]:
+            expected = permutation_count(g)
+            assert count_graceful_labelings(g) == expected
+            assert bool(brute_force_graceful(g)) == (expected > 0)
 
     def test_budget(self):
         tiny = SearchBudget(max_vertices=3)
@@ -140,3 +175,61 @@ class TestEnumerateTrees:
         for n in range(1, 10):
             for t in enumerate_trees(n):
                 assert brute_force_graceful(t)
+
+
+def _labels(res):
+    if res.labeling is None:
+        return None
+    return [res.labeling.assignment[v] for v in sorted(res.labeling.assignment)]
+
+
+def _search_snapshot() -> dict:
+    """What the four searches return on every small tree and on capped runs."""
+    trees = []
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            graceful = brute_force_graceful(t)
+            alpha = brute_force_alpha(t)
+            pinned = search_graceful_with_fixed(t, {0: t.num_edges})
+            trees.append({
+                "edges": t.sorted_edges(),
+                "graceful": [graceful.status, graceful.nodes, _labels(graceful)],
+                "alpha": [alpha.status, alpha.nodes, _labels(alpha),
+                          alpha.labeling and alpha.labeling.critical],
+                "pinned": [pinned.status, _labels(pinned)],
+                "count": count_graceful_labelings(t) if n <= 8 else None,
+            })
+    rng = random.Random(5)
+    capped = SearchBudget(max_vertices=16, max_nodes=10_000)
+    random_trees = []
+    for _ in range(20):
+        n = rng.randint(12, 16)
+        t = prufer_to_tree(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+        graceful = brute_force_graceful(t, capped)
+        alpha = brute_force_alpha(t, capped)
+        random_trees.append({
+            "edges": t.sorted_edges(),
+            "graceful": [graceful.status, graceful.nodes],
+            "alpha": [alpha.status, alpha.nodes],
+        })
+    return {"trees": trees, "random_trees": random_trees}
+
+
+def test_search_matches_recording():
+    recorded = json.loads(SEARCH_GOLDEN.read_text())
+    # the JSON round trip turns the snapshot's tuples into lists
+    assert json.loads(json.dumps(_search_snapshot())) == recorded
+
+
+def _record() -> None:
+    """One JSON line per tree, so a re-recording diffs tree by tree."""
+    snapshot = _search_snapshot()
+    lines = []
+    for key, rows in snapshot.items():
+        body = ",\n".join(json.dumps(row) for row in rows)
+        lines.append(f"{json.dumps(key)}: [\n{body}\n]")
+    SEARCH_GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    sys.exit(_record())
