@@ -48,7 +48,6 @@ from .matrices import (
     box_value,
     canonical_adjacency,
     canonical_biadjacency,
-    enumerate_shifts,
     inverse_alpha,
     is_completely_graceful,
     is_graceful_grid,

@@ -7,6 +7,11 @@ and re-verifies everything from scratch before issuing a Certificate.  No
 shortcut edge arithmetic: if the grid isn't (completely) graceful, the
 construction fails loudly.
 
+Grids are assembled as sets of occupied cells (see `matrices`): a block is
+placed by offsetting its ones, so assembly costs the number of edges, not
+the grid's area.  Dense rows appear only when `formats.print_matrix` or
+`LabeledMatrix.grid` renders them.
+
 Copies are implicit in several compositions: reading a symmetric adjacency
 grid as a biadjacency block splits a connected bipartite part into the two
 components of its bipartite double cover, each isomorphic to the part.
@@ -16,7 +21,7 @@ That is why those operations insist on bipartite inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstructionError
 from .graphs import Graph, bipartition, build_graph, connected_components, is_tree
@@ -25,6 +30,7 @@ from .labelings import Labeling, Verdict, verify_alpha, verify_beta
 from .matrices import (
     ADJACENCY,
     BIADJACENCY,
+    Cell,
     LabeledMatrix,
     canonical_adjacency,
     canonical_biadjacency,
@@ -138,38 +144,32 @@ def _check_embedding(construction: str, part: Graph, vmap: Mapping[int, int], re
 
 
 class _GridBuilder:
+    """The occupied cells of a grid under assembly; no cell is set twice."""
+
     def __init__(self, rows: int, cols: int) -> None:
         self.rows = rows
         self.cols = cols
-        self.grid = [[0] * cols for _ in range(rows)]
+        self.ones: set[Cell] = set()
 
     def set(self, i: int, j: int) -> None:
-        if self.grid[i][j]:
+        if (i, j) in self.ones:
             raise ConstructionError(f"grid cell ({i}, {j}) assembled twice")
-        self.grid[i][j] = 1
+        self.ones.add((i, j))
 
-    def place(self, block: Sequence[Sequence[int]], r0: int, c0: int) -> None:
-        for i, row in enumerate(block):
-            for j, x in enumerate(row):
-                if x:
-                    self.set(r0 + i, c0 + j)
+    def place(self, cells: Iterable[Cell], r0: int, c0: int) -> None:
+        for i, j in sorted(cells):
+            self.set(r0 + i, c0 + j)
 
     def to_biadjacency(self, critical: int) -> LabeledMatrix:
         row_slots = tuple((i, i) for i in range(self.rows))
         col_slots = tuple((self.rows + j, self.rows + j) for j in range(self.cols))
         return LabeledMatrix(
-            BIADJACENCY,
-            tuple(tuple(r) for r in self.grid),
-            row_slots,
-            col_slots,
-            critical,
+            BIADJACENCY, frozenset(self.ones), row_slots, col_slots, critical
         )
 
     def to_adjacency(self) -> LabeledMatrix:
         slots = tuple((i, i) for i in range(self.rows))
-        return LabeledMatrix(
-            ADJACENCY, tuple(tuple(r) for r in self.grid), slots, slots
-        )
+        return LabeledMatrix(ADJACENCY, frozenset(self.ones), slots, slots)
 
 
 def _require_verified(
@@ -213,14 +213,10 @@ def double_matrix(g: Graph, f: Labeling, at_label: int) -> LabeledMatrix:
         raise ConstructionError(f"double: label {at_label} is unused")
     adj = canonical_adjacency(g, f)
     m = g.num_edges
-    grid = [list(row) for row in adj.grid]
-    if grid[at_label][at_label]:
-        raise ConstructionError("double: principal diagonal is not free")
-    grid[at_label][at_label] = 1
     row_slots = tuple((i, i) for i in range(m + 1))
     col_slots = tuple((m + 1 + j, m + 1 + j) for j in range(m + 1))
     return LabeledMatrix(
-        BIADJACENCY, tuple(tuple(r) for r in grid), row_slots, col_slots, m
+        BIADJACENCY, adj.ones | {(at_label, at_label)}, row_slots, col_slots, m
     )
 
 
@@ -320,7 +316,7 @@ def disjoint_union_alpha(parts: Sequence[Part]) -> Certificate:
     builder = _GridBuilder(total_r, total_c)
     row_offsets, col_offsets = _antidiagonal_offsets(heights, widths)
     for mat, r0, c0 in zip(mats, row_offsets, col_offsets):
-        builder.place(mat.grid, r0, c0)
+        builder.place(mat.ones, r0, c0)
     critical = total_r - 1
     vertex_maps = [
         _biadjacency_part_map(mat, r0, c0, total_r)
@@ -377,7 +373,7 @@ def chain_km_matrix(mats: Sequence[LabeledMatrix]) -> LabeledMatrix:
     builder = _GridBuilder(sum(heights), sum(widths))
     row_offsets, col_offsets = _antidiagonal_offsets(heights, widths)
     for mat, r0, c0 in zip(mats, row_offsets, col_offsets):
-        builder.place(mat.grid, r0, c0)
+        builder.place(mat.ones, r0, c0)
     for i in range(len(mats) - 1):
         builder.set(
             row_offsets[i] + heights[i] - 1,
@@ -448,7 +444,7 @@ def chain_join_mm(parts: Sequence[Part], mode: str = MODE_ALTERNATING) -> Certif
     builder = _GridBuilder(sum(heights), sum(widths))
     row_offsets, col_offsets = _antidiagonal_offsets(heights, widths)
     for mat, r0, c0 in zip(mats, row_offsets, col_offsets):
-        builder.place(mat.grid, r0, c0)
+        builder.place(mat.ones, r0, c0)
     for seam in range(1, len(parts)):  # 1-based seam index
         if mode == MODE_ALTERNATING or seam % 2 == 1:
             a, b = seam - 1, seam  # block a's last row, block b's last col
@@ -497,9 +493,9 @@ def copy_chain_matrix(
     nt = tail.num_rows
     n = rh + nt + ch
     builder = _GridBuilder(n, n)
-    builder.place(chain.grid, 0, rh + nt)
-    builder.place(tuple(zip(*chain.grid)), rh + nt, 0)
-    builder.place(tail.grid, rh, rh)
+    builder.place(chain.ones, 0, rh + nt)
+    builder.place(((j, i) for i, j in chain.ones), rh + nt, 0)
+    builder.place(tail.ones, rh, rh)
     builder.set(rh - 1, rh + nt - 1)
     builder.set(rh + nt - 1, rh - 1)
     return builder.to_adjacency()
@@ -574,9 +570,8 @@ def star_join(parts: Sequence[Part]) -> Certificate:
     n = (2 * r - 1) * span + 1
     builder = _GridBuilder(n, n)
 
-    def rotated(g: Graph, f: Labeling):
-        adj = canonical_adjacency(g, f)
-        return tuple(tuple(reversed(row)) for row in reversed(adj.grid))
+    def rotated(g: Graph, f: Labeling) -> list[Cell]:
+        return [(m - i, m - j) for i, j in canonical_adjacency(g, f).ones]
 
     hub = n - 1
     vertex_maps: list[dict[int, int]] = []
@@ -686,8 +681,7 @@ def attach_at_vertices(
     for i in range(r + 1):
         c = min(i, r - i)
         gc, fc = parts[c]
-        grid = canonical_adjacency(gc, fc).grid
-        builder.place(grid, offsets[i], offsets[r - i])
+        builder.place(canonical_adjacency(gc, fc).ones, offsets[i], offsets[r - i])
     for u, v in hg.edges:
         i, j = hf.assignment[u], hf.assignment[v]
         builder.set(offsets[i] + sizes[i], offsets[j] + sizes[j])
@@ -798,22 +792,15 @@ def merge_chain_matrix(
 
     builder = _GridBuilder(n, n)
     center_rows = [center_start + (center_len - 1 - t) for t in range(center_len)]
-    for t in range(center_len):
-        for u in range(center_len):
-            if head.grid[t][u]:
-                builder.grid[center_rows[t]][center_rows[u]] = 1
+    for t, u in sorted(head.ones):
+        builder.set(center_rows[t], center_rows[u])
     positions = [(center_rows, center_rows)]
     for i in range(2, r + 1):
-        d = doubles[i - 2]
         rows = row_slot_pos(i)
         cols = col_slot_pos(i)
-        for t in range(d.num_rows):
-            for u in range(d.num_cols):
-                if d.grid[t][u]:
-                    if builder.grid[rows[t]][cols[u]]:
-                        raise ConstructionError("merge-chain: grid cell set twice")
-                    builder.grid[rows[t]][cols[u]] = 1
-                    builder.grid[cols[u]][rows[t]] = 1
+        for t, u in sorted(doubles[i - 2].ones):
+            builder.set(rows[t], cols[u])
+            builder.set(cols[u], rows[t])
         positions.append((rows, cols))
     return builder.to_adjacency(), positions
 
@@ -894,8 +881,7 @@ def insert_pendant_row(
         at = m.row_index_of_label(after_row_label) + 1
     col = m.col_index_of_label(target_col_label)
     new_id = m.num_rows + m.num_cols
-    new_row = tuple(1 if j == col else 0 for j in range(m.num_cols))
-    grid = m.grid[:at] + (new_row,) + m.grid[at:]
+    ones = frozenset((i + (i >= at), j) for i, j in m.ones) | {(at, col)}
     ids = [vid for vid, _ in m.row_slots]
     ids.insert(at, new_id)
     rows = len(ids)
@@ -903,7 +889,7 @@ def insert_pendant_row(
     col_slots = tuple(
         (vid, rows + j) for j, (vid, _) in enumerate(m.col_slots)
     )
-    out = LabeledMatrix(BIADJACENCY, grid, row_slots, col_slots, m.critical + 1)
+    out = LabeledMatrix(BIADJACENCY, ones, row_slots, col_slots, m.critical + 1)
     verdict = is_completely_graceful(out)
     if not verdict:
         raise ConstructionError(
@@ -924,16 +910,13 @@ def insert_pendant_column(
         at = m.col_index_of_label(after_col_label) + 1
     row = m.row_index_of_label(target_row_label)
     new_id = m.num_rows + m.num_cols
-    grid = tuple(
-        tuple(r[:at]) + ((1 if i == row else 0),) + tuple(r[at:])
-        for i, r in enumerate(m.grid)
-    )
+    ones = frozenset((i, j + (j >= at)) for i, j in m.ones) | {(row, at)}
     ids = [vid for vid, _ in m.col_slots]
     ids.insert(at, new_id)
     rows = m.num_rows
     row_slots = tuple((vid, i) for i, (vid, _) in enumerate(m.row_slots))
     col_slots = tuple((vid, rows + j) for j, vid in enumerate(ids))
-    out = LabeledMatrix(BIADJACENCY, grid, row_slots, col_slots, m.critical)
+    out = LabeledMatrix(BIADJACENCY, ones, row_slots, col_slots, m.critical)
     verdict = is_completely_graceful(out)
     if not verdict:
         raise ConstructionError(
@@ -954,15 +937,11 @@ def insert_pendant_pair(m: LabeledMatrix, target_label: int) -> LabeledMatrix:
     target = m.row_index_of_label(target_label)
     n = m.num_rows
     new_id = n
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            grid[i + 1][j + 1] = m.grid[i][j]
-    grid[0][target + 1] = 1
-    grid[target + 1][0] = 1
+    ones = frozenset((i + 1, j + 1) for i, j in m.ones)
+    ones |= {(0, target + 1), (target + 1, 0)}
     ids = [new_id] + [vid for vid, _ in m.row_slots]
     slots = tuple((vid, i) for i, vid in enumerate(ids))
-    out = LabeledMatrix(ADJACENCY, tuple(tuple(r) for r in grid), slots, slots)
+    out = LabeledMatrix(ADJACENCY, ones, slots, slots)
     verdict = is_completely_graceful(out)
     if not verdict:
         raise ConstructionError(

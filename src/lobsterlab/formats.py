@@ -105,7 +105,14 @@ def print_matrix(m: LabeledMatrix) -> str:
         " ".join(str(lab) for lab in m.row_labels),
         " ".join(str(lab) for lab in m.col_labels),
     ]
-    lines.extend("".join(str(x) for x in row) for row in m.grid)
+    ones_by_row: list[list[int]] = [[] for _ in range(m.num_rows)]
+    for i, j in m.ones:
+        ones_by_row[i].append(j)
+    for cols in ones_by_row:  # one dense row at a time
+        row = ["0"] * m.num_cols
+        for j in cols:
+            row[j] = "1"
+        lines.append("".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -134,16 +141,16 @@ def parse_matrix(text: str) -> LabeledMatrix:
     grid_lines = lines[3:]
     if len(grid_lines) != rows:
         raise FormatError(f"expected {rows} grid lines, found {len(grid_lines)}")
-    grid = []
-    for line in grid_lines:
+    ones = set()
+    for i, line in enumerate(grid_lines):
         if len(line) != cols or any(ch not in "01" for ch in line):
             raise FormatError(f"bad grid line {line!r}")
-        grid.append(tuple(int(ch) for ch in line))
+        ones.update((i, j) for j, ch in enumerate(line) if ch == "1")
     # file carries labels only; vertex ids are taken from the labels
     row_slots = tuple((lab, lab) for lab in row_labels)
     col_slots = tuple((lab, lab) for lab in col_labels)
     try:
-        return LabeledMatrix(kind, tuple(grid), row_slots, col_slots, critical)
+        return LabeledMatrix(kind, frozenset(ones), row_slots, col_slots, critical)
     except MatrixError as exc:
         raise FormatError(str(exc)) from exc
 

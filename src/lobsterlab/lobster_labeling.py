@@ -405,10 +405,6 @@ class LinkedPiece:
     spine_vertex: int
     branches: tuple[Branch, ...]
 
-    @property
-    def leaf_counts(self) -> tuple[int, ...]:
-        return tuple(sorted(br.leaf_count for br in self.branches))
-
 
 @dataclass(frozen=True)
 class LobsterClassification:

@@ -7,6 +7,11 @@ one (the principal diagonal of an adjacency grid stays empty).  For a
 canonical grid the box-value of an occupied cell equals the edge label of
 the edge it represents, which is what makes the calculus tick.
 
+A grid is stored as its set of occupied cells, never as rows of zeros: the
+calculus only looks at the m ones, so every operation here runs in the
+number of edges, not the grid's area.  Dense rows exist only on demand, in
+`LabeledMatrix.grid` and in `formats.print_matrix`.
+
 A LabeledMatrix carries (vertex id, label) metadata per row/column slot, so
 every orientation (identity, 180-degree rotation, transpose, both) remains
 self-describing.
@@ -14,9 +19,9 @@ self-describing.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence  # noqa: F401
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .errors import LabelingInputError, MatrixError
 from .graphs import Graph, build_graph, is_tree
@@ -24,7 +29,6 @@ from .labelings import (
     ALPHA,
     BETA,
     Labeling,
-    Verdict,
     augment_hat,
     pad_labeling,
     verify_alpha,
@@ -33,7 +37,7 @@ from .labelings import (
 ADJACENCY = "adjacency"
 BIADJACENCY = "biadjacency"
 
-Grid = tuple[tuple[int, ...], ...]
+Cell = tuple[int, int]  # 0-based (row, column)
 Slot = tuple[int, int]  # (vertex id, label)
 
 
@@ -46,16 +50,15 @@ def box_value(num_rows: int, num_cols: int, i: int, j: int) -> int:
     return num_rows + j - i
 
 
-def _freeze_grid(rows: Sequence[Sequence[int]]) -> Grid:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 @dataclass(frozen=True)
 class LabeledMatrix:
-    """A 0/1 grid plus per-slot (vertex id, label) metadata."""
+    """A 0/1 grid, stored as its occupied cells, plus per-slot metadata.
+
+    The grid has one row per row slot and one column per column slot.
+    """
 
     kind: str
-    grid: Grid
+    ones: frozenset[Cell]
     row_slots: tuple[Slot, ...]
     col_slots: tuple[Slot, ...]
     critical: int | None = None
@@ -63,28 +66,29 @@ class LabeledMatrix:
     def __post_init__(self) -> None:
         if self.kind not in (ADJACENCY, BIADJACENCY):
             raise MatrixError(f"unknown matrix kind {self.kind!r}")
-        if len(self.grid) != len(self.row_slots):
-            raise MatrixError("row metadata does not match grid height")
-        for row in self.grid:
-            if len(row) != len(self.col_slots):
-                raise MatrixError("column metadata does not match grid width")
-            if any(x not in (0, 1) for x in row):
-                raise MatrixError("grid entries must be 0 or 1")
+        rows, cols = self.num_rows, self.num_cols
+        outside = [(i, j) for i, j in self.ones if not (0 <= i < rows and 0 <= j < cols)]
+        if outside:
+            i, j = min(outside)
+            raise MatrixError(f"cell ({i}, {j}) lies outside the {rows} x {cols} grid")
         if self.kind == ADJACENCY:
             if self.critical is not None:
                 raise MatrixError("adjacency matrices carry no critical value")
             if self.row_slots != self.col_slots:
                 raise MatrixError("adjacency matrices need identical row/column slots")
-            n = len(self.grid)
-            for i in range(n):
-                if self.grid[i][i] != 0:
+            # first offence in (i, j >= i) order, as a row-by-row scan finds it
+            bad = [
+                (min(i, j), max(i, j))
+                for i, j in self.ones
+                if i == j or (j, i) not in self.ones
+            ]
+            if bad:
+                i, j = min(bad)
+                if i == j:
                     raise MatrixError(f"principal diagonal not empty at index {i}")
-                for j in range(i + 1, n):
-                    if self.grid[i][j] != self.grid[j][i]:
-                        raise MatrixError(f"grid not symmetric at ({i}, {j})")
-        else:
-            if self.critical is None:
-                raise MatrixError("biadjacency matrices need a critical value")
+                raise MatrixError(f"grid not symmetric at ({i}, {j})")
+        elif self.critical is None:
+            raise MatrixError("biadjacency matrices need a critical value")
         ids = [vid for vid, _ in self.row_slots]
         if self.kind == BIADJACENCY:
             ids += [vid for vid, _ in self.col_slots]
@@ -93,11 +97,19 @@ class LabeledMatrix:
 
     @property
     def num_rows(self) -> int:
-        return len(self.grid)
+        return len(self.row_slots)
 
     @property
     def num_cols(self) -> int:
         return len(self.col_slots)
+
+    @property
+    def grid(self) -> tuple[tuple[int, ...], ...]:
+        """The dense 0/1 rows, built on demand."""
+        rows = [[0] * self.num_cols for _ in range(self.num_rows)]
+        for i, j in self.ones:
+            rows[i][j] = 1
+        return tuple(map(tuple, rows))
 
     @property
     def row_labels(self) -> tuple[int, ...]:
@@ -107,27 +119,9 @@ class LabeledMatrix:
     def col_labels(self) -> tuple[int, ...]:
         return tuple(lab for _, lab in self.col_slots)
 
-    def ones(self) -> list[tuple[int, int]]:
-        """Occupied cells as 0-based (i, j), row-major order."""
-        return [
-            (i, j)
-            for i, row in enumerate(self.grid)
-            for j, x in enumerate(row)
-            if x
-        ]
-
     def cell_box_value(self, i: int, j: int) -> int:
         """Box-value of the 0-based cell (i, j)."""
         return box_value(self.num_rows, self.num_cols, i + 1, j + 1)
-
-    def is_canonical(self) -> bool:
-        """Labels ascend with position (the identity orientation)."""
-        if self.kind == ADJACENCY:
-            return self.row_labels == tuple(range(self.num_rows))
-        k = self.critical
-        return self.row_labels == tuple(range(k + 1)) and self.col_labels == tuple(
-            range(k + 1, k + 1 + self.num_cols)
-        )
 
     def row_index_of_label(self, label: int) -> int:
         try:
@@ -159,12 +153,9 @@ class GridVerdict:
         return bad[0] if bad else None
 
 
-def _diagonal_counts(m: LabeledMatrix) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for i, j in m.ones():
-        c = m.cell_box_value(i, j)
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+def _diagonal_counts(m: LabeledMatrix) -> Counter[int]:
+    rows = m.num_rows
+    return Counter(rows + j - i for i, j in m.ones)
 
 
 def is_graceful_grid(m: LabeledMatrix) -> GridVerdict:
@@ -212,12 +203,11 @@ def canonical_adjacency(g: Graph, f: Labeling) -> LabeledMatrix:
         )
     by_label = {lab: v for v, lab in assignment.items()}
     slots = tuple((by_label[lab], lab) for lab in range(m + 1))
-    grid = [[0] * (m + 1) for _ in range(m + 1)]
+    ones = set()
     for u, v in ghat.edges:
         a, b = assignment[u], assignment[v]
-        grid[a][b] = 1
-        grid[b][a] = 1
-    return LabeledMatrix(ADJACENCY, _freeze_grid(grid), slots, slots)
+        ones.update(((a, b), (b, a)))
+    return LabeledMatrix(ADJACENCY, frozenset(ones), slots, slots)
 
 
 def canonical_biadjacency(
@@ -235,11 +225,11 @@ def canonical_biadjacency(
         raise LabelingInputError("padded labels do not cover 0..bound")
     row_slots = tuple((by_label[lab], lab) for lab in range(k + 1))
     col_slots = tuple((by_label[lab], lab) for lab in range(k + 1, bound + 1))
-    grid = [[0] * len(col_slots) for _ in range(k + 1)]
+    ones = set()
     for u, v in g.edges:
         lo, hi = sorted((assignment[u], assignment[v]))
-        grid[lo][hi - (k + 1)] = 1
-    return LabeledMatrix(BIADJACENCY, _freeze_grid(grid), row_slots, col_slots, k)
+        ones.add((lo, hi - (k + 1)))
+    return LabeledMatrix(BIADJACENCY, frozenset(ones), row_slots, col_slots, k)
 
 
 ROTATE = "R"
@@ -256,19 +246,22 @@ def transform(m: LabeledMatrix, which: str) -> LabeledMatrix:
     if m.kind != BIADJACENCY:
         raise MatrixError("only biadjacency matrices have the four orientations")
     if which == ROTATE:
-        grid = tuple(tuple(reversed(row)) for row in reversed(m.grid))
+        last_row, last_col = m.num_rows - 1, m.num_cols - 1
         return LabeledMatrix(
             BIADJACENCY,
-            grid,
+            frozenset((last_row - i, last_col - j) for i, j in m.ones),
             tuple(reversed(m.row_slots)),
             tuple(reversed(m.col_slots)),
             m.critical,
         )
     if which == TRANSPOSE:
-        grid = tuple(tuple(row) for row in zip(*m.grid))
-        if not grid:
-            grid = tuple(() for _ in m.col_slots)
-        return LabeledMatrix(BIADJACENCY, grid, m.col_slots, m.row_slots, m.critical)
+        return LabeledMatrix(
+            BIADJACENCY,
+            frozenset((j, i) for i, j in m.ones),
+            m.col_slots,
+            m.row_slots,
+            m.critical,
+        )
     if which == ROTATE_TRANSPOSE:
         return transform(transform(m, ROTATE), TRANSPOSE)
     raise MatrixError(f"unknown transform {which!r}")
@@ -290,37 +283,25 @@ def inverse_alpha(f: Labeling, k: int, n: int) -> Labeling:
 
 
 def matrix_to_graph(m: LabeledMatrix) -> tuple[Graph, Labeling]:
-    """Rebuild the labeled graph a canonical grid describes."""
-    if not m.is_canonical():
-        raise MatrixError("matrix metadata is not in canonical orientation")
-    if m.kind == ADJACENCY:
-        ids = [vid for vid, _ in m.row_slots]
-        n = len(ids)
-        if sorted(ids) != list(range(n)):
-            raise MatrixError("slot ids are not 0..n-1")
-        label_of = {vid: lab for vid, lab in m.row_slots}
-        id_of_label = {lab: vid for vid, lab in m.row_slots}
-        edges = set()
-        for i, j in m.ones():
-            if i < j:
-                edges.add(tuple(sorted((id_of_label[i], id_of_label[j]))))
-        g = build_graph(n, edges)
-        return g, Labeling({v: label_of[v] for v in range(n)}, BETA)
-    ids = [vid for vid, _ in m.row_slots] + [vid for vid, _ in m.col_slots]
-    n = len(ids)
-    if sorted(ids) != list(range(n)):
+    """Rebuild the labeled graph a grid describes, in any orientation.
+
+    Vertex ids and labels are read from the slots; each occupied cell joins
+    its row's vertex to its column's (an adjacency grid is read above the
+    principal diagonal only).
+    """
+    slots = m.row_slots if m.kind == ADJACENCY else m.row_slots + m.col_slots
+    n = len(slots)
+    if sorted(vid for vid, _ in slots) != list(range(n)):
         raise MatrixError("slot ids are not 0..n-1")
-    edges = []
-    for i, j in m.ones():
-        edges.append((m.row_slots[i][0], m.col_slots[j][0]))
+    edges = [
+        (m.row_slots[i][0], m.col_slots[j][0])
+        for i, j in sorted(m.ones)
+        if m.kind == BIADJACENCY or i < j
+    ]
     g = build_graph(n, edges)
-    assignment = {vid: lab for vid, lab in m.row_slots}
-    assignment.update({vid: lab for vid, lab in m.col_slots})
-    return g, Labeling(assignment, ALPHA, m.critical)
-
-
-def _with_grid(m: LabeledMatrix, grid: Grid) -> LabeledMatrix:
-    return LabeledMatrix(m.kind, grid, m.row_slots, m.col_slots, m.critical)
+    if m.kind == ADJACENCY:
+        return g, Labeling(dict(sorted(slots)), BETA)
+    return g, Labeling(dict(slots), ALPHA, m.critical)
 
 
 def shift_ones(
@@ -334,21 +315,23 @@ def shift_ones(
     moves may transiently collide.  The result must still be completely
     graceful (and, on request, describe a tree); otherwise this raises.
     """
-    grid = [list(row) for row in m.grid]
-    cells = []
+    sources: set[Cell] = set()
+    targets = []
     for (r_lab, c_lab), (r_lab2, c_lab2) in moves:
         src = (m.row_index_of_label(r_lab), m.col_index_of_label(c_lab))
         dst = (m.row_index_of_label(r_lab2), m.col_index_of_label(c_lab2))
-        if grid[src[0]][src[1]] != 1:
+        if src not in m.ones:
             raise MatrixError(f"source cell ({r_lab}, {c_lab}) holds no 1")
-        cells.append((src, dst, (r_lab2, c_lab2)))
-    for (si, sj), _, _ in cells:
-        grid[si][sj] = 0
-    for _, (di, dj), dst_labels in cells:
-        if grid[di][dj] != 0:
+        if src in sources:
+            raise MatrixError(f"source cell ({r_lab}, {c_lab}) is moved twice")
+        sources.add(src)
+        targets.append((dst, (r_lab2, c_lab2)))
+    ones = set(m.ones - sources)
+    for dst, dst_labels in targets:
+        if dst in ones:
             raise MatrixError(f"target cell {dst_labels} is already occupied")
-        grid[di][dj] = 1
-    out = _with_grid(m, _freeze_grid(grid))
+        ones.add(dst)
+    out = replace(m, ones=frozenset(ones))
     verdict = is_completely_graceful(out)
     if not verdict:
         raise MatrixError(
@@ -360,94 +343,3 @@ def shift_ones(
         if not is_tree(g):
             raise MatrixError("shifted grid no longer describes a tree")
     return out
-
-
-def _atomic_steps(m: LabeledMatrix) -> Iterator[Grid]:
-    """Grids one step away: slide a 1 on its diagonal, or swap two diagonals."""
-    grid = m.grid
-    rows, cols = m.num_rows, m.num_cols
-    ones = m.ones()
-    occupied = set(ones)
-
-    def diagonal_cells(c: int) -> list[tuple[int, int]]:
-        # 0-based cells with box-value c: j = c - rows + i
-        return [
-            (i, c - rows + i)
-            for i in range(rows)
-            if 0 <= c - rows + i < cols
-        ]
-
-    def moved(changes: dict[tuple[int, int], int]) -> Grid:
-        return tuple(
-            tuple(
-                changes.get((i, j), grid[i][j])
-                for j in range(cols)
-            )
-            for i in range(rows)
-        )
-
-    for i, j in ones:
-        c = m.cell_box_value(i, j)
-        for cell in diagonal_cells(c):
-            if cell not in occupied:
-                yield moved({(i, j): 0, cell: 1})
-    for a in range(len(ones)):
-        for b in range(a + 1, len(ones)):
-            p, q = ones[a], ones[b]
-            cp = m.cell_box_value(*p)
-            cq = m.cell_box_value(*q)
-            for p2 in diagonal_cells(cq):
-                if p2 in occupied and p2 != q:
-                    continue
-                for q2 in diagonal_cells(cp):
-                    if q2 in occupied and q2 != p:
-                        continue
-                    if p2 == q2:
-                        continue
-                    yield moved({p: 0, q: 0, p2: 1, q2: 1})
-
-
-def enumerate_shifts(
-    m: LabeledMatrix,
-    max_steps: int,
-    predicate: Callable[[LabeledMatrix], bool] | None = None,
-) -> Iterator[LabeledMatrix]:
-    """Breadth-first stream of completely graceful tree grids within reach.
-
-    States are deduplicated by grid bytes and visited in a deterministic
-    order; intermediate states need not describe trees, but only tree grids
-    that satisfy the predicate are yielded.
-    """
-    start = is_completely_graceful(m)
-    if not start:
-        raise MatrixError("starting grid is not completely graceful")
-
-    def emit(grid: Grid) -> LabeledMatrix | None:
-        candidate = _with_grid(m, grid)
-        g, _ = matrix_to_graph(candidate)
-        if not is_tree(g):
-            return None
-        if predicate is not None and not predicate(candidate):
-            return None
-        return candidate
-
-    seen = {m.grid}
-    frontier = deque([m.grid])
-    first = emit(m.grid)
-    if first is not None:
-        yield first
-    for _ in range(max_steps):
-        next_frontier: deque[Grid] = deque()
-        while frontier:
-            grid = frontier.popleft()
-            for succ in _atomic_steps(_with_grid(m, grid)):
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                next_frontier.append(succ)
-                out = emit(succ)
-                if out is not None:
-                    yield out
-        frontier = next_frontier
-        if not frontier:
-            break

@@ -160,6 +160,22 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith(fixture_text("lobster26_biadj.txt"))
 
+    @pytest.mark.parametrize("which", ["R", "T", "RT"])
+    def test_shift_reads_every_orientation(self, tmp_path, capsys, which):
+        inputs = FIXTURES / "golden" / "inputs"
+        moves = tmp_path / "none.moves"
+        moves.write_text("")
+        class_lines = []
+        for extra in ([], ["--transform", which]):
+            argv = ["matrix", str(inputs / "cat6.edges"), str(inputs / "cat6.alpha")]
+            assert main(argv + ["--biadjacency", *extra]) == 0
+            matrix = tmp_path / "matrix.txt"
+            matrix.write_text(capsys.readouterr().out)
+            assert main(["shift", str(matrix), str(moves)]) == 0
+            class_lines.append(capsys.readouterr().out.splitlines()[-1])
+        assert class_lines[0].startswith("class: caterpillar")
+        assert class_lines[1] == class_lines[0]
+
     def test_shift_colliding_move(self, workdir, capsys):
         moves = workdir / "bad.moves"
         moves.write_text("1 21 -> 1 17\n")

@@ -3,17 +3,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lobsterlab.constructions import verify_certificate
 from lobsterlab.errors import LabelingInputError, MatrixError
 from lobsterlab.formats import parse_matrix, print_matrix
 from lobsterlab.graphs import build_graph, is_tree
-from lobsterlab.labelings import beta_labeling, verify_alpha
+from lobsterlab.labelings import Labeling, beta_labeling, verify_alpha
+from lobsterlab.lobster_labeling import label_caterpillar, label_lobster_auto
 from lobsterlab.matrices import (
     LabeledMatrix,
     box_value,
     canonical_adjacency,
     canonical_biadjacency,
-    enumerate_shifts,
     inverse_alpha,
     is_completely_graceful,
     is_graceful_grid,
@@ -27,11 +29,60 @@ from conftest import fixture_text
 def tiny_biadjacency(grid, k, row_labels, col_labels):
     return LabeledMatrix(
         "biadjacency",
-        tuple(tuple(row) for row in grid),
+        frozenset((i, j) for i, row in enumerate(grid) for j, x in enumerate(row) if x),
         tuple((lab, lab) for lab in row_labels),
         tuple((lab, lab) for lab in col_labels),
         k,
     )
+
+
+def caterpillar(leaf_counts, seed):
+    """A caterpillar with the given leaves per spine vertex, ids shuffled."""
+    n = len(leaf_counts) + sum(leaf_counts)
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    edges = [(ids[s], ids[s + 1]) for s in range(len(leaf_counts) - 1)]
+    nxt = len(leaf_counts)
+    for s, count in enumerate(leaf_counts):
+        for leaf in range(nxt, nxt + count):
+            edges.append((ids[s], ids[leaf]))
+        nxt += count
+    return build_graph(n, edges)
+
+
+def named_by_label(g, f):
+    """The same labeled graph with every vertex renamed to its label."""
+    edges = [(f.label(u), f.label(v)) for u, v in g.edges]
+    return build_graph(g.num_vertices, edges), Labeling(
+        {lab: lab for lab in f.assignment.values()}, f.kind, f.critical
+    )
+
+
+class TestLabeledMatrixInvariants:
+    @pytest.mark.parametrize(
+        "kind, ones, rows, cols, critical, message",
+        [
+            ("grid", set(), [0], [1], 0, "unknown matrix kind 'grid'"),
+            ("biadjacency", {(0, 1)}, [0], [1], 0, "cell (0, 1) lies outside the 1 x 1 grid"),
+            ("adjacency", {(0, 1), (1, 0)}, [0, 1], [0, 1], 0, "carry no critical value"),
+            ("adjacency", set(), [0, 1], [0], None, "identical row/column slots"),
+            ("adjacency", {(1, 1)}, [0, 1], [0, 1], None, "principal diagonal not empty at index 1"),
+            ("adjacency", {(1, 0)}, [0, 1], [0, 1], None, "grid not symmetric at (0, 1)"),
+            ("adjacency", {(0, 2), (1, 1)}, [0, 1, 2], [0, 1, 2], None, "grid not symmetric at (0, 2)"),
+            ("biadjacency", {(0, 0)}, [0], [1], None, "need a critical value"),
+            ("biadjacency", {(0, 0)}, [0], [0], 0, "a vertex id appears in two slots"),
+        ],
+    )
+    def test_invalid_matrix_rejected(self, kind, ones, rows, cols, critical, message):
+        with pytest.raises(MatrixError) as info:
+            LabeledMatrix(
+                kind,
+                frozenset(ones),
+                tuple((lab, lab) for lab in rows),
+                tuple((lab, lab) for lab in cols),
+                critical,
+            )
+        assert message in str(info.value)
 
 
 class TestBoxValue:
@@ -74,11 +125,9 @@ class TestCompletelyGraceful:
         assert is_completely_graceful(lobster28_matrix)
 
     def test_missing_spine_edge_names_diagonal(self, lobster28_matrix):
-        grid = [list(row) for row in lobster28_matrix.grid]
-        grid[14][12] = 0  # the two spinal vertices' shared cell
         m = LabeledMatrix(
             "biadjacency",
-            tuple(tuple(r) for r in grid),
+            lobster28_matrix.ones - {(14, 12)},  # the two spinal vertices' shared cell
             lobster28_matrix.row_slots,
             lobster28_matrix.col_slots,
             14,
@@ -211,38 +260,16 @@ class TestShiftOnes:
         with pytest.raises(MatrixError, match="no 1"):
             shift_ones(lobster26_matrix, [((0, 13), (0, 14))])
 
+    def test_repeated_source_rejected(self, lobster26_matrix):
+        with pytest.raises(MatrixError, match=r"source cell \(1, 21\) is moved twice"):
+            shift_ones(lobster26_matrix, [((1, 21), (1, 17)), ((1, 21), (0, 22))])
+
     def test_collision_rejected(self, lobster26_matrix):
         with pytest.raises(MatrixError, match="occupied"):
             shift_ones(
                 lobster26_matrix,
                 [((1, 21), (2, 22)), ((9, 13), (2, 22))],
             )
-
-
-class TestEnumerateShifts:
-    def test_zero_steps_yields_self(self, lobster26_matrix):
-        out = list(enumerate_shifts(lobster26_matrix, 0))
-        assert out == [lobster26_matrix]
-
-    def test_one_by_one_grid_only_itself(self):
-        m = tiny_biadjacency([[1]], 0, [0], [1])
-        assert list(enumerate_shifts(m, 3)) == [m]
-
-    def test_reaches_shifted_fixture_from_two_swaps(
-        self, lobster26_matrix, lobster26_moves, lobster26_shifted_matrix
-    ):
-        # apply two of the three compensating swap pairs, then search one step
-        part = shift_ones(lobster26_matrix, lobster26_moves[:2] + lobster26_moves[3:5])
-        target = lobster26_shifted_matrix.grid
-        found = any(
-            m.grid == target for m in enumerate_shifts(part, 1)
-        )
-        assert found
-
-    def test_deterministic(self, lobster26_matrix):
-        a = [m.grid for m in enumerate_shifts(lobster26_matrix, 1)]
-        b = [m.grid for m in enumerate_shifts(lobster26_matrix, 1)]
-        assert a == b
 
 
 class TestMatrixCodec:
@@ -255,9 +282,48 @@ class TestMatrixCodec:
         for m in (lobster28_matrix, lobster26_matrix, tree9_double):
             g, f = matrix_to_graph(m)
             edge_labels = set()
-            for i, j in m.ones():
+            for i, j in m.ones:
                 edge_labels.add(m.cell_box_value(i, j))
             expected = {
                 abs(f.assignment[u] - f.assignment[v]) for u, v in g.edges
             }
             assert edge_labels == expected
+
+
+class TestCaterpillarMatrices:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=8),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_codec_transforms_and_graph_round_trip(self, leaf_counts, seed):
+        g = caterpillar(leaf_counts, seed)
+        f = label_caterpillar(g)
+        g_lab, f_lab = named_by_label(g, f)
+        for build in (canonical_adjacency, canonical_biadjacency):
+            # the file carries labels only, so it round-trips ids equal to labels
+            m_lab = build(g_lab, f_lab)
+            assert parse_matrix(print_matrix(m_lab)) == m_lab
+            m = build(g, f)
+            got_g, got_f = matrix_to_graph(m)
+            assert got_g == g and dict(got_f.assignment) == dict(f.assignment)
+        m = canonical_biadjacency(g, f)
+        assert transform(transform(m, "R"), "R") == m
+        assert transform(transform(m, "T"), "T") == m
+        for which in ("R", "T", "RT"):
+            got_g, got_f = matrix_to_graph(transform(m, which))
+            assert got_g == g
+            assert dict(got_f.assignment) == dict(f.assignment)
+            assert got_f.critical == f.critical
+
+    def test_large_caterpillar_certifies_without_dense_grid(self, monkeypatch):
+        def dense(self):
+            raise AssertionError("a dense grid was built")
+
+        monkeypatch.setattr(LabeledMatrix, "grid", property(dense))
+        g = caterpillar([3] * 5000, seed=1)
+        assert g.num_vertices == 20000
+        cert = label_lobster_auto(g)
+        assert cert.construction == "caterpillar-sweep"
+        assert verify_certificate(cert)
+        assert len(cert.result_matrix.ones) == g.num_edges
