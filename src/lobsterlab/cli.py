@@ -24,6 +24,7 @@ from .labelings import verify_alpha, verify_beta
 from .lobsters import lobster_decompose
 from .lobster_labeling import (
     CoverageReport,
+    LobsterClassification,
     classify_lobster,
     label_by_search,
     label_lobster_auto,
@@ -122,6 +123,17 @@ def cmd_verify(args) -> int:
     return OK if verdict.ok else NEGATIVE
 
 
+def _lobster_flags(cls: LobsterClassification) -> dict[str, bool]:
+    """The five class flags, by their output names, in output order."""
+    return {
+        "pairwise-isomorphic": cls.pairwise_isomorphic,
+        "pairwise-similar": cls.pairwise_similar,
+        "pairwise-linked": cls.pairwise_linked,
+        "pairwise-balanced": cls.pairwise_balanced,
+        "pairwise-trivially-balanced": cls.pairwise_trivially_balanced,
+    }
+
+
 def cmd_classify(args) -> int:
     g = formats.parse_edges(_read(args.graph))
     if not is_tree(g):
@@ -131,15 +143,8 @@ def cmd_classify(args) -> int:
     payload: dict = {"class": kind}
     lines = [f"class {kind}"]
     if kind in ("path", "caterpillar", "lobster", "single-vertex"):
-        lob = lobster_decompose(g)
-        cls = classify_lobster(lob, args.budget)
-        flags = {
-            "pairwise-isomorphic": cls.pairwise_isomorphic,
-            "pairwise-similar": cls.pairwise_similar,
-            "pairwise-linked": cls.pairwise_linked,
-            "pairwise-balanced": cls.pairwise_balanced,
-            "pairwise-trivially-balanced": cls.pairwise_trivially_balanced,
-        }
+        cls = classify_lobster(lobster_decompose(g), args.budget)
+        flags = _lobster_flags(cls)
         payload["flags"] = flags
         payload["spinal-parity"] = list(cls.spinal_parity)
         for name, value in flags.items():
@@ -287,15 +292,7 @@ def cmd_shift(args) -> int:
     flags = []
     if kind in ("path", "caterpillar", "lobster", "single-vertex"):
         cls = classify_lobster(lobster_decompose(g), args.budget)
-        for name, value in (
-            ("pairwise-isomorphic", cls.pairwise_isomorphic),
-            ("pairwise-similar", cls.pairwise_similar),
-            ("pairwise-linked", cls.pairwise_linked),
-            ("pairwise-balanced", cls.pairwise_balanced),
-            ("pairwise-trivially-balanced", cls.pairwise_trivially_balanced),
-        ):
-            if value:
-                flags.append(name)
+        flags = [name for name, value in _lobster_flags(cls).items() if value]
     print(f"class: {kind}; flags: {', '.join(flags) if flags else 'none'}")
     return OK
 

@@ -12,6 +12,13 @@ placed by offsetting its ones, so assembly costs the number of edges, not
 the grid's area.  Dense rows appear only when `formats.print_matrix` or
 `LabeledMatrix.grid` renders them.
 
+Every assembler also returns where each block's slots landed, as a map
+from the block's slot ids to result ids (the antidiagonal stack in
+`_antidiagonal`, the copy chain, the merge chain).  Every vertex and copy
+map, here and in `lobster_labeling`, is read from those landing maps, so
+the block layout is the only place that knows which part vertex becomes
+which result vertex.
+
 Copies are implicit in several compositions: reading a symmetric adjacency
 grid as a biadjacency block splits a connected bipartite part into the two
 components of its bipartite double cover, each isomorphic to the part.
@@ -160,6 +167,21 @@ class _GridBuilder:
         for i, j in sorted(cells):
             self.set(r0 + i, c0 + j)
 
+    def put(
+        self, block: LabeledMatrix, where: Mapping[int, int], mirror: bool = False
+    ) -> None:
+        """Set each 1 of block where its slots landed (ids are positions here).
+
+        mirror also sets the transposed cell, for a biadjacency block read
+        into an adjacency grid.
+        """
+        rows = [where[vid] for vid, _ in block.row_slots]
+        cols = [where[vid] for vid, _ in block.col_slots]
+        for t, u in sorted(block.ones):
+            self.set(rows[t], cols[u])
+            if mirror:
+                self.set(cols[u], rows[t])
+
     def to_biadjacency(self, critical: int) -> LabeledMatrix:
         row_slots = tuple((i, i) for i in range(self.rows))
         col_slots = tuple((self.rows + j, self.rows + j) for j in range(self.cols))
@@ -220,15 +242,31 @@ def double_matrix(g: Graph, f: Labeling, at_label: int) -> LabeledMatrix:
     )
 
 
+def _landed(
+    block: LabeledMatrix, r0: int, c0: int, rotated: bool = False
+) -> dict[int, int]:
+    """Slot id -> result id for a block whose first row landed on r0 and
+    first column on c0 (its last ones, when it was turned 180 degrees)."""
+    rows, cols = block.row_slots, block.col_slots
+    if rotated:
+        rows, cols = rows[::-1], cols[::-1]
+    where = {vid: r0 + i for i, (vid, _) in enumerate(rows)}
+    where.update((vid, c0 + j) for j, (vid, _) in enumerate(cols))
+    return where
+
+
 def _double_cover_maps(
-    g: Graph, f: Labeling, anchor_label: int, row_pos, col_pos
+    g: Graph, f: Labeling, anchor_label: int, where: Mapping[int, int]
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Original/copy maps when the padded adjacency grid acts as biadjacency.
 
-    The original is the cover component containing the row slot of the
-    anchor label; per connected component the side is fixed by its smallest
-    vertex when the anchor lies elsewhere.
+    where says where the slots of the part's double_matrix landed: label
+    lab sits on row slot lab and on column slot m+1+lab.  The original is
+    the cover component containing the row slot of the anchor label; per
+    connected component the side is fixed by its smallest vertex when the
+    anchor lies elsewhere.
     """
+    m = g.num_edges
     colors = _part_colors(g)
     comps = connected_components(g)
     comp_of = {v: comp_id for comp_id, comp in enumerate(comps) for v in comp}
@@ -240,13 +278,11 @@ def _double_cover_maps(
     orig: dict[int, int] = {}
     copy: dict[int, int] = {}
     for v, lab in f.assignment.items():
-        on_row_side = colors[v] == anchor_side[comp_of[v]]
-        if on_row_side:
-            orig[v] = row_pos(lab)
-            copy[v] = col_pos(lab)
+        row, col = where[lab], where[m + 1 + lab]
+        if colors[v] == anchor_side[comp_of[v]]:
+            orig[v], copy[v] = row, col
         else:
-            orig[v] = col_pos(lab)
-            copy[v] = row_pos(lab)
+            orig[v], copy[v] = col, row
     return orig, copy
 
 
@@ -261,9 +297,7 @@ def double(part: Part, at_label: int) -> Certificate:
     _require_bipartite("double", [part])
     m = g.num_edges
     matrix = double_matrix(g, f, at_label)
-    orig, copy = _double_cover_maps(
-        g, f, at_label, row_pos=lambda lab: lab, col_pos=lambda lab: m + 1 + lab
-    )
+    orig, copy = _double_cover_maps(g, f, at_label, _landed(matrix, 0, m + 1))
     cert = _certify(
         "double",
         CLAIM_COMPLETE_ALPHA,
@@ -310,25 +344,14 @@ def disjoint_union_alpha(parts: Sequence[Part]) -> Certificate:
                 f"disjoint-union: part {idx} failed verification: {verdict.reason}"
             )
         mats.append(canonical_biadjacency(g, f, bound))
-    heights = [m.num_rows for m in mats]
-    widths = [m.num_cols for m in mats]
-    total_r, total_c = sum(heights), sum(widths)
-    builder = _GridBuilder(total_r, total_c)
-    row_offsets, col_offsets = _antidiagonal_offsets(heights, widths)
-    for mat, r0, c0 in zip(mats, row_offsets, col_offsets):
-        builder.place(mat.ones, r0, c0)
-    critical = total_r - 1
-    vertex_maps = [
-        _biadjacency_part_map(mat, r0, c0, total_r)
-        for mat, r0, c0 in zip(mats, row_offsets, col_offsets)
-    ]
+    matrix, landed = _antidiagonal(mats)
     cert = _certify(
         "disjoint-union",
         CLAIM_ALPHA,
-        builder.to_biadjacency(critical),
+        matrix,
         [g for g, _ in parts],
-        vertex_maps,
-        details={"max_label": total_r + total_c - 1},
+        landed,
+        details={"max_label": matrix.num_rows + matrix.num_cols - 1},
     )
     expected_k = sum(m.critical for m in mats) + len(parts) - 1
     if cert.critical != expected_k:
@@ -336,50 +359,43 @@ def disjoint_union_alpha(parts: Sequence[Part]) -> Certificate:
     return cert
 
 
-def _antidiagonal_offsets(
-    heights: Sequence[int], widths: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    row_offsets = []
-    acc = 0
-    for h in heights:
-        row_offsets.append(acc)
-        acc += h
-    col_offsets = []
-    for i in range(len(widths)):
-        col_offsets.append(sum(widths[i + 1 :]))
-    return row_offsets, col_offsets
+def _antidiagonal(
+    mats: Sequence[LabeledMatrix], seams: Iterable[tuple[int, int]] = ()
+) -> tuple[LabeledMatrix, list[dict[int, int]]]:
+    """Biadjacency blocks stacked along the antidiagonal, joined at seams.
+
+    Block 0 takes the top rows and the rightmost columns, each further block
+    the rows below and the columns to the left.  A seam (a, b) adds one 1
+    where block a's last row meets block b's last column.  Returns the grid
+    and, per block, where its slots landed (slot id -> result id).
+    """
+    total_r = sum(m.num_rows for m in mats)
+    c0 = sum(m.num_cols for m in mats)
+    builder = _GridBuilder(total_r, c0)
+    corners = []
+    landed = []
+    r0 = 0
+    for mat in mats:
+        c0 -= mat.num_cols
+        builder.place(mat.ones, r0, c0)
+        landed.append(_landed(mat, r0, total_r + c0))
+        corners.append((r0 + mat.num_rows - 1, c0 + mat.num_cols - 1))
+        r0 += mat.num_rows
+    for a, b in seams:
+        builder.set(corners[a][0], corners[b][1])
+    return builder.to_biadjacency(total_r - 1), landed
 
 
-def _biadjacency_part_map(
-    mat: LabeledMatrix, r0: int, c0: int, total_rows: int
-) -> dict[int, int]:
-    """Part vertex -> result id for a canonically placed biadjacency block."""
-    out: dict[int, int] = {}
-    for i, (vid, _) in enumerate(mat.row_slots):
-        out[vid] = r0 + i
-    for j, (vid, _) in enumerate(mat.col_slots):
-        out[vid] = total_rows + c0 + j
-    return out
-
-
-def chain_km_matrix(mats: Sequence[LabeledMatrix]) -> LabeledMatrix:
+def chain_km_matrix(
+    mats: Sequence[LabeledMatrix],
+) -> tuple[LabeledMatrix, list[dict[int, int]]]:
     """Chain of completely graceful biadjacency blocks joined critical-to-max.
 
     Block i's last row (its critical vertex) meets block i+1's last column
-    (its maximum vertex): one extra 1 per consecutive pair.
+    (its maximum vertex): one extra 1 per consecutive pair.  Also returns
+    where each block's slots landed.
     """
-    heights = [m.num_rows for m in mats]
-    widths = [m.num_cols for m in mats]
-    builder = _GridBuilder(sum(heights), sum(widths))
-    row_offsets, col_offsets = _antidiagonal_offsets(heights, widths)
-    for mat, r0, c0 in zip(mats, row_offsets, col_offsets):
-        builder.place(mat.ones, r0, c0)
-    for i in range(len(mats) - 1):
-        builder.set(
-            row_offsets[i] + heights[i] - 1,
-            col_offsets[i + 1] + widths[i + 1] - 1,
-        )
-    return builder.to_biadjacency(sum(heights) - 1)
+    return _antidiagonal(mats, [(i, i + 1) for i in range(len(mats) - 1)])
 
 
 def chain_join_km(parts: Sequence[Part]) -> Certificate:
@@ -387,17 +403,9 @@ def chain_join_km(parts: Sequence[Part]) -> Certificate:
     if not parts:
         raise ConstructionError("chain-km: needs at least one part")
     verdicts = _require_verified("chain-km", parts, alpha=True, complete=True)
-    mats = [canonical_biadjacency(g, f) for g, f in parts]
-    matrix = chain_km_matrix(mats)
-    heights = [m.num_rows for m in mats]
-    widths = [m.num_cols for m in mats]
-    row_offsets, col_offsets = _antidiagonal_offsets(heights, widths)
-    vertex_maps = [
-        _biadjacency_part_map(mat, r0, c0, matrix.num_rows)
-        for mat, r0, c0 in zip(mats, row_offsets, col_offsets)
-    ]
+    matrix, landed = chain_km_matrix([canonical_biadjacency(g, f) for g, f in parts])
     cert = _certify(
-        "chain-km", CLAIM_COMPLETE_ALPHA, matrix, [g for g, _ in parts], vertex_maps
+        "chain-km", CLAIM_COMPLETE_ALPHA, matrix, [g for g, _ in parts], landed
     )
     expected_k = sum(v.critical for v in verdicts) + len(parts) - 1
     if cert.critical != expected_k:
@@ -439,32 +447,17 @@ def chain_join_mm(parts: Sequence[Part], mode: str = MODE_ALTERNATING) -> Certif
         transform(m, "T") if i % 2 == 0 else m  # 0-based: odd positions 1-based
         for i, m in enumerate(base_mats)
     ]
-    heights = [m.num_rows for m in mats]
-    widths = [m.num_cols for m in mats]
-    builder = _GridBuilder(sum(heights), sum(widths))
-    row_offsets, col_offsets = _antidiagonal_offsets(heights, widths)
-    for mat, r0, c0 in zip(mats, row_offsets, col_offsets):
-        builder.place(mat.ones, r0, c0)
-    for seam in range(1, len(parts)):  # 1-based seam index
-        if mode == MODE_ALTERNATING or seam % 2 == 1:
-            a, b = seam - 1, seam  # block a's last row, block b's last col
-        else:
-            a, b = seam, seam - 1
-        builder.set(
-            row_offsets[a] + heights[a] - 1,
-            col_offsets[b] + widths[b] - 1,
-        )
-    matrix = builder.to_biadjacency(sum(heights) - 1)
-    vertex_maps = [
-        _biadjacency_part_map(mat, r0, c0, matrix.num_rows)
-        for mat, r0, c0 in zip(mats, row_offsets, col_offsets)
+    seams = [  # 1-based seam s joins blocks s-1 and s; all_m flips the even ones
+        (s - 1, s) if mode == MODE_ALTERNATING or s % 2 == 1 else (s, s - 1)
+        for s in range(1, len(parts))
     ]
+    matrix, landed = _antidiagonal(mats, seams)
     cert = _certify(
         "chain-mm",
         CLAIM_COMPLETE_ALPHA,
         matrix,
         [g for g, _ in parts],
-        vertex_maps,
+        landed,
         details={"mode": mode},
     )
     # transposed blocks contribute the complement critical m - k - 1; with
@@ -483,22 +476,22 @@ def chain_join_mm(parts: Sequence[Part], mode: str = MODE_ALTERNATING) -> Certif
 
 def copy_chain_matrix(
     chain: LabeledMatrix, tail: LabeledMatrix
-) -> LabeledMatrix:
+) -> tuple[LabeledMatrix, list[dict[int, int]]]:
     """Adjacency grid embedding a biadjacency chain around a tail block.
 
     The chain's rows, the tail adjacency, and the chain's columns stack into
     one symmetric grid; the chain's critical vertex meets the tail's maximum.
+    Also returns where the chain's and the tail's slots landed.
     """
-    rh, ch = chain.num_rows, chain.num_cols
-    nt = tail.num_rows
-    n = rh + nt + ch
+    rh, nt = chain.num_rows, tail.num_rows
+    n = rh + nt + chain.num_cols
     builder = _GridBuilder(n, n)
-    builder.place(chain.ones, 0, rh + nt)
-    builder.place(((j, i) for i, j in chain.ones), rh + nt, 0)
-    builder.place(tail.ones, rh, rh)
+    landed = [_landed(chain, 0, rh + nt), _landed(tail, rh, rh)]
+    builder.put(chain, landed[0], mirror=True)
+    builder.put(tail, landed[1])
     builder.set(rh - 1, rh + nt - 1)
     builder.set(rh + nt - 1, rh - 1)
-    return builder.to_adjacency()
+    return builder.to_adjacency(), landed
 
 
 def chain_with_copies(parts: Sequence[Part]) -> Certificate:
@@ -513,30 +506,20 @@ def chain_with_copies(parts: Sequence[Part]) -> Certificate:
     _require_verified("copy-chain", parts, alpha=False, complete=True)
     _require_bipartite("copy-chain", parts)
     head = parts[:-1]
-    doubles = [double_matrix(g, f, g.num_edges) for g, f in head]
-    chain = chain_km_matrix(doubles)
+    chain, landed = chain_km_matrix([double_matrix(g, f, g.num_edges) for g, f in head])
     tail_g, tail_f = parts[-1]
-    tail = canonical_adjacency(tail_g, tail_f)
-    matrix = copy_chain_matrix(chain, tail)
-    heights = [m.num_rows for m in doubles]
-    widths = [m.num_cols for m in doubles]
-    row_offsets, col_offsets = _antidiagonal_offsets(heights, widths)
-    rh = chain.num_rows
-    nt = tail.num_rows
+    matrix, (chain_at, tail_at) = copy_chain_matrix(
+        chain, canonical_adjacency(tail_g, tail_f)
+    )
     vertex_maps = []
     copy_maps = []
-    for (g, f), r0, c0 in zip(head, row_offsets, col_offsets):
-        m = g.num_edges
+    for (g, f), where in zip(head, landed):
         orig, copy = _double_cover_maps(
-            g,
-            f,
-            m,
-            row_pos=lambda lab, r0=r0: r0 + lab,
-            col_pos=lambda lab, c0=c0: rh + nt + c0 + lab,
+            g, f, g.num_edges, {s: chain_at[v] for s, v in where.items()}
         )
         vertex_maps.append(orig)
         copy_maps.append(copy)
-    vertex_maps.append({v: rh + lab for v, lab in tail_f.assignment.items()})
+    vertex_maps.append(tail_at)
     copy_maps.append({})
     cert = _certify(
         "copy-chain", CLAIM_BETA, matrix, [g for g, _ in parts], vertex_maps, copy_maps
@@ -582,13 +565,11 @@ def star_join(parts: Sequence[Part]) -> Certificate:
         c0 = n - 1 - i * span
         builder.place(block, r0, c0)
         builder.place(block, c0, r0)
-        orig, copy = _double_cover_maps(
-            g,
-            f,
-            m,
-            row_pos=lambda lab, r0=r0: r0 + (m - lab),
-            col_pos=lambda lab, c0=c0: c0 + (m - lab),
-        )
+        # the rotated block in double_matrix slot ids: row label lab on
+        # r0 + m - lab, column label lab (slot span + lab) on c0 + m - lab
+        where = {lab: r0 + m - lab for lab in range(span)}
+        where.update((span + lab, c0 + m - lab) for lab in range(span))
+        orig, copy = _double_cover_maps(g, f, m, where)
         vertex_maps.append(orig)
         copy_maps.append(copy)
         builder.set(r0, hub)
@@ -688,26 +669,15 @@ def attach_at_vertices(
         builder.set(offsets[j] + sizes[j], offsets[i] + sizes[i])
 
     vertex_maps = []
-    for i, (g, f) in enumerate(parts):
-        c = min(i, r - i)
-        gc, fc = parts[c]
+    for i, (g, _) in enumerate(parts):
+        gc, fc = parts[min(i, r - i)]
         mc = gc.num_edges
-        if i == r - i:
-            vertex_maps.append(
-                {v: offsets[i] + fc.assignment[isos[i][v]] for v in g.vertices()}
-            )
-            continue
-        colors = _part_colors(gc)
-        max_color = colors[fc.vertex_with_label(mc)]
-        vmap = {}
-        for v in g.vertices():
-            lab = fc.assignment[isos[i][v]]
-            w = fc.vertex_with_label(lab)
-            if colors[w] == max_color:
-                vmap[v] = offsets[i] + lab
-            else:
-                vmap[v] = offsets[r - i] + lab
-        vertex_maps.append(vmap)
+        # part i reads the shared block as a cover whose row slots landed
+        # at offsets[i] and whose column slots at offsets[r - i]
+        where = {lab: offsets[i] + lab for lab in range(mc + 1)}
+        where.update((mc + 1 + lab, offsets[r - i] + lab) for lab in range(mc + 1))
+        orig, _ = _double_cover_maps(gc, fc, mc, where)
+        vertex_maps.append({v: orig[isos[i][v]] for v in g.vertices()})
     h_map = {
         v: offsets[hf.assignment[v]] + sizes[hf.assignment[v]] for v in hg.vertices()
     }
@@ -738,71 +708,45 @@ def _part_colors(g: Graph) -> dict[int, int]:
 
 def merge_chain_matrix(
     head: LabeledMatrix, doubles: Sequence[LabeledMatrix]
-) -> tuple[LabeledMatrix, list[tuple[list[int], list[int]]]]:
-    """Adjacency grid of the merged chain; also the slot positions per part.
+) -> tuple[LabeledMatrix, list[dict[int, int]]]:
+    """Adjacency grid of the merged chain; also where each part's slots landed.
 
     head is part 1's canonical adjacency; doubles[i] is part i+2's doubled
     biadjacency.  Segments run down the grid: parts r..2 on one flank, part
     1's rotated block in the middle, parts 2..r on the other, overlapping by
-    one row wherever two parts share a merged vertex.
-
-    Returns (matrix, positions) with positions[i] = (row_slot_pos,
-    col_slot_pos) giving the global position of each part-grid slot; for
-    part 1 both lists coincide.
+    one row wherever two parts share a merged vertex.  Part i's double sits
+    upright for even i (rows on the first flank) and rotated for odd i
+    (columns on the first flank).
     """
     r = len(doubles) + 1
-    left_len = {}
-    right_len = {}
-    for i in range(2, r + 1):
-        d = doubles[i - 2]
-        left_len[i] = d.num_rows if i % 2 == 0 else d.num_cols
-        right_len[i] = d.num_cols if i % 2 == 0 else d.num_rows
-    center_len = head.num_rows
-
+    flanks = {
+        i: (d.num_rows, d.num_cols) if i % 2 == 0 else (d.num_cols, d.num_rows)
+        for i, d in enumerate(doubles, start=2)
+    }
+    # an even part's segments share their last row with the next segment
+    # below, which holds the vertex merged into it
     left_start = {}
     pos = 0
     for i in range(r, 1, -1):
         left_start[i] = pos
-        pos += left_len[i]
-        if (i - 1) % 2 == 1:  # merge with the next segment below
-            pos -= 1
+        pos += flanks[i][0] - (1 if i % 2 == 0 else 0)
     center_start = pos
-    pos += center_len
+    pos += head.num_rows
     right_start = {}
     for i in range(2, r + 1):
         right_start[i] = pos
-        pos += right_len[i]
-        if i % 2 == 0 and i + 1 <= r:
-            pos -= 1
-    n = pos
-
-    def row_slot_pos(i: int):
-        d = doubles[i - 2]
-        m_rows = d.num_rows
+        pos += flanks[i][1] - (1 if i % 2 == 0 and i < r else 0)
+    builder = _GridBuilder(pos, pos)
+    landed = [_landed(head, center_start, center_start, rotated=True)]
+    builder.put(head, landed[0])
+    for i, d in enumerate(doubles, start=2):
         if i % 2 == 0:
-            return [left_start[i] + t for t in range(m_rows)]
-        return [right_start[i] + (m_rows - 1 - t) for t in range(m_rows)]
-
-    def col_slot_pos(i: int):
-        d = doubles[i - 2]
-        m_cols = d.num_cols
-        if i % 2 == 0:
-            return [right_start[i] + t for t in range(m_cols)]
-        return [left_start[i] + (m_cols - 1 - t) for t in range(m_cols)]
-
-    builder = _GridBuilder(n, n)
-    center_rows = [center_start + (center_len - 1 - t) for t in range(center_len)]
-    for t, u in sorted(head.ones):
-        builder.set(center_rows[t], center_rows[u])
-    positions = [(center_rows, center_rows)]
-    for i in range(2, r + 1):
-        rows = row_slot_pos(i)
-        cols = col_slot_pos(i)
-        for t, u in sorted(doubles[i - 2].ones):
-            builder.set(rows[t], cols[u])
-            builder.set(cols[u], rows[t])
-        positions.append((rows, cols))
-    return builder.to_adjacency(), positions
+            where = _landed(d, left_start[i], right_start[i])
+        else:
+            where = _landed(d, right_start[i], left_start[i], rotated=True)
+        builder.put(d, where, mirror=True)
+        landed.append(where)
+    return builder.to_adjacency(), landed
 
 
 def merge_join_chain(parts: Sequence[Part]) -> Certificate:
@@ -820,20 +764,11 @@ def merge_join_chain(parts: Sequence[Part]) -> Certificate:
     g1, f1 = parts[0]
     head_adj = canonical_adjacency(g1, f1)
     doubles = [double_matrix(g, f, g.num_edges) for g, f in parts[1:]]
-    matrix, positions = merge_chain_matrix(head_adj, doubles)
-    center_rows, _ = positions[0]
-    vertex_maps: list[dict[int, int]] = [
-        {v: center_rows[lab] for v, lab in f1.assignment.items()}
-    ]
+    matrix, landed = merge_chain_matrix(head_adj, doubles)
+    vertex_maps = [landed[0]]
     copy_maps: list[dict[int, int]] = [{}]
-    for (g, f), (rows, cols) in zip(parts[1:], positions[1:]):
-        orig, copy = _double_cover_maps(
-            g,
-            f,
-            g.num_edges,
-            row_pos=lambda lab, rows=rows: rows[lab],
-            col_pos=lambda lab, cols=cols: cols[lab],
-        )
+    for (g, f), where in zip(parts[1:], landed[1:]):
+        orig, copy = _double_cover_maps(g, f, g.num_edges, where)
         vertex_maps.append(orig)
         copy_maps.append(copy)
     cert = _certify(

@@ -18,6 +18,11 @@ Every glue-max labeling of a lobe or piece comes from one helper
 search), and every certificate from one path: _certify_tree
 hands the grid to constructions._certify and then checks that the result
 has the input tree's size, so the certified id map is an isomorphism.
+
+That id map is read from the assemblers' landing maps (slot id -> result
+id): piece vertices are looked up by their slot ids, and pendants by the
+ids of the first slots, where the insert_pendant_* functions put them
+while keeping every existing slot id.  No offset arithmetic happens here.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .constructions import (
     CLAIM_BETA,
     CLAIM_COMPLETE_ALPHA,
     Certificate,
-    _antidiagonal_offsets,
     _certify,
     _double_cover_maps,
     chain_km_matrix,
@@ -610,7 +614,6 @@ def _pairwise_balanced(lob: Lobster) -> tuple[bool, bool]:
     r = lob.spine_length
     if r % 2 != 0:
         return False, False
-    balanced = True
     trivially = True
     for i in range(0, r - 1, 2):
         spec = _pair_spec(lob, i)
@@ -618,7 +621,7 @@ def _pairwise_balanced(lob: Lobster) -> tuple[bool, bool]:
             return False, False
         if not is_trivially_balanced(spec):
             trivially = False
-    return balanced, trivially
+    return True, trivially
 
 
 def classify_lobster(
@@ -670,17 +673,47 @@ def _certify_tree(
     return cert
 
 
-def _branch_pairing(
-    removed: Sequence[Branch], piece: LinkedPiece
-) -> list[tuple[Branch, Branch]]:
-    """Deterministically pair shed branches with the matching piece branches."""
-    by_count: dict[int, list[Branch]] = {}
-    for br in sorted(piece.branches, key=lambda b: (b.leaf_count, b.center)):
-        by_count.setdefault(br.leaf_count, []).append(br)
-    pairs = []
-    for br in sorted(removed, key=lambda b: (b.leaf_count, b.center)):
-        pairs.append((br, by_count[br.leaf_count].pop(0)))
-    return pairs
+def _matched_branches(own: Sequence[Branch], target: Sequence[Branch]) -> dict[int, int]:
+    """Own vertex -> target vertex for two sets of branches with equal leaf
+    counts: branches pair up in (leaf count, center) order, leaves in id order."""
+
+    def key(b: Branch) -> tuple[int, int]:
+        return b.leaf_count, b.center
+
+    out = {}
+    for a, b in zip(sorted(own, key=key), sorted(target, key=key)):
+        out[a.center] = b.center
+        out.update(zip(sorted(a.leaves), sorted(b.leaves)))
+    return out
+
+
+def _pendants_on_top(
+    pendants: Sequence[int], slots: Sequence[tuple[int, int]], where: dict[int, int]
+) -> dict[int, int]:
+    """Input pendant -> result id for pendants inserted as the first slots,
+    the smallest pendant on top."""
+    return {p: where[vid] for p, (vid, _) in zip(sorted(pendants), slots)}
+
+
+def _pendant_augmented_adjacency(g: Graph, f: Labeling, pendants: int) -> LabeledMatrix:
+    """A piece's adjacency grid with a new first slot per pendant on its maximum."""
+    a = canonical_adjacency(g, f)
+    for _ in range(pendants):
+        a = insert_pendant_pair(a, a.row_labels[-1])
+    return a
+
+
+def _pendant_augmented_double(
+    g: Graph, f: Labeling, rows_to_add: int, cols_to_add: int
+) -> LabeledMatrix:
+    """A piece's double with new first rows on its last column and new first
+    columns on its last row, one per pendant."""
+    d = double_matrix(g, f, g.num_edges)
+    for _ in range(rows_to_add):
+        d = insert_pendant_row(d, None, d.col_labels[-1])
+    for _ in range(cols_to_add):
+        d = insert_pendant_column(d, None, d.row_labels[-1])
+    return d
 
 
 def label_pairwise_linked(
@@ -705,37 +738,18 @@ def label_pairwise_linked(
     r = len(labeled)
 
     _, head_g, head_f, head_index = labeled[0]
-    head_mat = canonical_adjacency(head_g, head_f)
-    for _ in range(len(chosen.pendants[0])):
-        head_mat = insert_pendant_pair(head_mat, head_mat.row_labels[-1])
-    doubles = []
-    for i in range(1, r):
-        _, g_i, f_i, _ = labeled[i]
-        d = double_matrix(g_i, f_i, g_i.num_edges)
-        for _ in range(len(chosen.pendants[i])):
-            d = insert_pendant_row(d, None, d.col_labels[-1])
-        doubles.append(d)
-    matrix, positions = merge_chain_matrix(head_mat, doubles)
+    head_mat = _pendant_augmented_adjacency(head_g, head_f, len(chosen.pendants[0]))
+    doubles = [
+        _pendant_augmented_double(g_i, f_i, len(chosen.pendants[i]), 0)
+        for i, (_, g_i, f_i, _) in enumerate(labeled[1:], start=1)
+    ]
+    matrix, landed = merge_chain_matrix(head_mat, doubles)
 
-    input_map: dict[int, int] = {}
-    head_shift = len(chosen.pendants[0])
-    center_rows, _ = positions[0]
-    for v, dense in head_index.items():
-        input_map[v] = center_rows[head_shift + head_f.assignment[dense]]
-    for slot, pend in enumerate(sorted(chosen.pendants[0])):
-        input_map[pend] = center_rows[slot]
-
+    input_map = {v: landed[0][dense] for v, dense in head_index.items()}
+    input_map.update(_pendants_on_top(chosen.pendants[0], head_mat.row_slots, landed[0]))
     for i in range(1, r):
         piece, g_i, f_i, index_i = labeled[i]
-        rows, cols = positions[i]
-        shift = len(chosen.pendants[i])
-        orig, copy = _double_cover_maps(
-            g_i,
-            f_i,
-            g_i.num_edges,
-            row_pos=lambda lab, rows=rows, shift=shift: rows[shift + lab],
-            col_pos=lambda lab, cols=cols: cols[lab],
-        )
+        orig, copy = _double_cover_maps(g_i, f_i, g_i.num_edges, landed[i])
         # the piece itself (including spine vertex i) is the copy hanging at
         # spine slot i; the branches shed from lobe i-1 are the original
         # component, glued at spine slot i-1
@@ -745,12 +759,11 @@ def label_pairwise_linked(
         removed = [
             br for br in chosen.lobes[i - 1] if br.center not in kept_centers
         ]
-        for shed, target in _branch_pairing(removed, piece):
-            input_map[shed.center] = orig[index_i[target.center]]
-            for a, b in zip(sorted(shed.leaves), sorted(target.leaves)):
-                input_map[a] = orig[index_i[b]]
-        for slot, pend in enumerate(sorted(chosen.pendants[i])):
-            input_map[pend] = rows[slot]
+        for shed, target in _matched_branches(removed, piece.branches).items():
+            input_map[shed] = orig[index_i[target]]
+        input_map.update(
+            _pendants_on_top(chosen.pendants[i], doubles[i - 1].row_slots, landed[i])
+        )
 
     return _certify_tree(
         "pairwise-linked", CLAIM_BETA, matrix, t, input_map, {"pieces": r}
@@ -799,13 +812,6 @@ def _similar_parts(
     return parts, leftover
 
 
-def _check_pair_matches(chosen: Lobster, i: int) -> None:
-    if chosen.branch_leaf_counts(i) != chosen.branch_leaf_counts(i + 1):
-        raise ConstructionError(
-            f"lobes at spinal positions {i} and {i + 1} are not isomorphic"
-        )
-
-
 def label_pairwise_similar(
     t: Graph, budget: SearchBudget | None = None
 ) -> Certificate:
@@ -825,29 +831,8 @@ def label_pairwise_similar(
             break
     if chosen is None:
         raise ConstructionError("lobster is not pairwise similar")
-    r = chosen.spine_length
-    for i in range(0, r - 1, 2):
-        _check_pair_matches(chosen, i)
-    parity = spinal_parity(chosen)
-    for i in range(0, r - 1, 2):
-        if parity[i] != parity[i + 1]:
-            raise ConstructionError(
-                f"paired spinal vertices {chosen.spine[i]} and "
-                f"{chosen.spine[i + 1]} disagree on branch parity"
-            )
     parts, leftover = _similar_parts(chosen, budget)
     return _similar_chain(t, chosen, parts, leftover)
-
-
-def _pendant_augmented_double(
-    g: Graph, f: Labeling, rows_to_add: int, cols_to_add: int
-) -> LabeledMatrix:
-    d = double_matrix(g, f, g.num_edges)
-    for _ in range(rows_to_add):
-        d = insert_pendant_row(d, None, d.col_labels[-1])
-    for _ in range(cols_to_add):
-        d = insert_pendant_column(d, None, d.row_labels[-1])
-    return d
 
 
 def _leftover_pendants(chosen: Lobster, i: int, promoted: bool) -> list[int]:
@@ -865,7 +850,8 @@ def _similar_chain(
 
     Pair p's copy hangs at spine position 2p and its original at 2p+1.  The
     doubles chain critical-to-max; an odd spine embeds the chain around the
-    final lobe's adjacency block, so the columns start after that block.
+    final lobe's adjacency block, and each pair's landing map is then read
+    through the copy chain's.
     """
     r = chosen.spine_length
     pairs = parts[: r // 2]
@@ -877,40 +863,28 @@ def _similar_chain(
         _pendant_augmented_double(g, f, leftover[2 * p], leftover[2 * p + 1])
         for p, (g, f, _, _) in enumerate(pairs)
     ]
-    matrix = chain_km_matrix(mats)
-    col_base = matrix.num_rows
+    matrix, landed = chain_km_matrix(mats)
     input_map: dict[int, int] = {}
     if r % 2:
         tail_g, tail_f, tail_index, tail_promoted = parts[-1]
-        tail_mat = canonical_adjacency(tail_g, tail_f)
-        for _ in range(leftover[-1]):
-            tail_mat = insert_pendant_pair(tail_mat, tail_mat.row_labels[-1])
-        tail_base = matrix.num_rows
-        matrix = copy_chain_matrix(matrix, tail_mat)
-        col_base += tail_mat.num_rows
-        for v, dense in tail_index.items():
-            input_map[v] = tail_base + leftover[-1] + tail_f.assignment[dense]
-        for slot, pend in enumerate(_leftover_pendants(chosen, r - 1, tail_promoted)):
-            input_map[pend] = tail_base + slot
+        tail_mat = _pendant_augmented_adjacency(tail_g, tail_f, leftover[-1])
+        matrix, (chain_at, tail_at) = copy_chain_matrix(matrix, tail_mat)
+        landed = [{s: chain_at[v] for s, v in where.items()} for where in landed]
+        input_map = {v: tail_at[dense] for v, dense in tail_index.items()}
+        input_map.update(_pendants_on_top(
+            _leftover_pendants(chosen, r - 1, tail_promoted), tail_mat.row_slots, tail_at
+        ))
 
-    row_offsets, col_offsets = _antidiagonal_offsets(
-        [m.num_rows for m in mats], [m.num_cols for m in mats]
-    )
-    for p, (g, f, index, promoted) in enumerate(pairs):
-        r0, c0 = row_offsets[p], col_base + col_offsets[p]
-        orig, copy = _double_cover_maps(
-            g,
-            f,
-            g.num_edges,
-            row_pos=lambda lab, base=r0 + leftover[2 * p]: base + lab,
-            col_pos=lambda lab, base=c0 + leftover[2 * p + 1]: base + lab,
-        )
+    for p, ((g, f, index, promoted), d, where) in enumerate(zip(pairs, mats, landed)):
+        orig, copy = _double_cover_maps(g, f, g.num_edges, where)
         _map_similar_pair(input_map, chosen, 2 * p, index, copy, promoted)
         _map_similar_pair(input_map, chosen, 2 * p + 1, index, orig, promoted)
-        for slot, pend in enumerate(_leftover_pendants(chosen, 2 * p, promoted)):
-            input_map[pend] = r0 + slot
-        for slot, pend in enumerate(_leftover_pendants(chosen, 2 * p + 1, promoted)):
-            input_map[pend] = c0 + slot
+        input_map.update(_pendants_on_top(
+            _leftover_pendants(chosen, 2 * p, promoted), d.row_slots, where
+        ))
+        input_map.update(_pendants_on_top(
+            _leftover_pendants(chosen, 2 * p + 1, promoted), d.col_slots, where
+        ))
     return _certify_tree(
         "pairwise-similar", CLAIM_BETA, matrix, t, input_map, {"spine": r}
     )
@@ -932,21 +906,12 @@ def _map_similar_pair(
     side_map sends part ids to result ids.
     """
     pair_base = (position // 2) * 2
-    input_map[chosen.spine[position]] = side_map[index[chosen.spine[pair_base]]]
-    part_branches = sorted(
-        chosen.lobes[pair_base], key=lambda b: (b.leaf_count, b.center)
-    )
-    own_branches = sorted(
-        chosen.lobes[position], key=lambda b: (b.leaf_count, b.center)
-    )
-    for own, part in zip(own_branches, part_branches):
-        input_map[own.center] = side_map[index[part.center]]
-        for a, b in zip(sorted(own.leaves), sorted(part.leaves)):
-            input_map[a] = side_map[index[b]]
+    to_part = _matched_branches(chosen.lobes[position], chosen.lobes[pair_base])
+    to_part[chosen.spine[position]] = chosen.spine[pair_base]
     if promoted:
-        part_pend = sorted(chosen.pendants[pair_base])[0]
-        own_pend = sorted(chosen.pendants[position])[0]
-        input_map[own_pend] = side_map[index[part_pend]]
+        to_part[min(chosen.pendants[position])] = min(chosen.pendants[pair_base])
+    for own, part in to_part.items():
+        input_map[own] = side_map[index[part]]
 
 
 def label_pairwise_balanced(t: Graph) -> Certificate:
@@ -971,21 +936,14 @@ def label_pairwise_balanced(t: Graph) -> Certificate:
             )
         specs.append(spec)
         role_maps.append(_assign_pair_roles(lob, i, spec))
-    mats = [canonical_biadjacency(*balanced_lobster_graph(spec)) for spec in specs]
-    matrix = chain_km_matrix(mats)
-    row_offsets, col_offsets = _antidiagonal_offsets(
-        [m.num_rows for m in mats], [m.num_cols for m in mats]
+    matrix, landed = chain_km_matrix(
+        [canonical_biadjacency(*balanced_lobster_graph(spec)) for spec in specs]
     )
     input_map: dict[int, int] = {}
-    for spec, role_of, r0, c0 in zip(specs, role_maps, row_offsets, col_offsets):
+    for spec, role_of, where in zip(specs, role_maps, landed):
+        # a piece's vertex ids are its labels (balanced_lobster_graph)
         labels = balanced_role_labels(spec)
-        k = spec.expected_critical
-        for input_id, role in role_of.items():
-            lab = labels[role]
-            if lab <= k:
-                input_map[input_id] = r0 + lab
-            else:
-                input_map[input_id] = matrix.num_rows + c0 + (lab - k - 1)
+        input_map.update((v, where[labels[role]]) for v, role in role_of.items())
     return _certify_tree(
         "pairwise-balanced",
         CLAIM_COMPLETE_ALPHA,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import LabelingInputError, MatrixError
-from .graphs import Graph, build_graph, is_tree
+from .graphs import Graph, build_graph
 from .labelings import (
     ALPHA,
     BETA,
@@ -307,13 +307,12 @@ def matrix_to_graph(m: LabeledMatrix) -> tuple[Graph, Labeling]:
 def shift_ones(
     m: LabeledMatrix,
     moves: Sequence[tuple[tuple[int, int], tuple[int, int]]],
-    require_tree_result: bool = False,
 ) -> LabeledMatrix:
     """Move 1s between cells addressed by (row label, column label) pairs.
 
     All removals happen before all placements, so compensating pairs of
     moves may transiently collide.  The result must still be completely
-    graceful (and, on request, describe a tree); otherwise this raises.
+    graceful; otherwise this raises.
     """
     sources: set[Cell] = set()
     targets = []
@@ -338,8 +337,4 @@ def shift_ones(
             f"shifted grid is not completely graceful; first bad diagonal "
             f"{verdict.first_violation}"
         )
-    if require_tree_result:
-        g, _ = matrix_to_graph(out)
-        if not is_tree(g):
-            raise MatrixError("shifted grid no longer describes a tree")
     return out

@@ -131,7 +131,7 @@ def test_criterion_4_shift_fixture(lobster26_moves):
         assert cert.critical == 12
         assert cert.result_graph.num_edges == 25
         assert print_matrix(cert.result_matrix) == fixture_text("lobster26_biadj.txt")
-        shifted = shift_ones(cert.result_matrix, lobster26_moves, require_tree_result=True)
+        shifted = shift_ones(cert.result_matrix, lobster26_moves)
         assert print_matrix(shifted) == fixture_text("lobster26_shifted.txt")
         assert is_completely_graceful(shifted)
         graph, labeling = matrix_to_graph(shifted)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,18 @@ class TestLabelingCodec:
         with pytest.raises(FormatError):
             formats.parse_labeling("kind beta\n0 0\n0 1\n")
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(st.integers(0, 500), st.integers(0, 1000), max_size=40),
+        st.none() | st.integers(0, 1000),
+    )
+    def test_round_trip_random(self, assignment, critical):
+        if critical is None:
+            f = beta_labeling(assignment)
+        else:
+            f = alpha_labeling(assignment, critical)
+        assert formats.parse_labeling(formats.print_labeling(f)) == f
+
 
 class TestMatrixCodec:
     def test_round_trip_fixtures(self):
@@ -69,10 +84,18 @@ class TestMatrixCodec:
             formats.parse_matrix("biadjacency 1 1 0\n0\n1\n2\n")
 
 
+CELL = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+
+
 class TestMovesCodec:
     def test_round_trip(self):
         text = fixture_text("lobster26.moves")
         assert formats.print_moves(formats.parse_moves(text)) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(CELL, CELL)))
+    def test_round_trip_random(self, moves):
+        assert formats.parse_moves(formats.print_moves(moves)) == moves
 
 
 class TestDotExport:
@@ -359,3 +382,65 @@ class TestCliBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("fail unlabeled-vertex")
+
+
+# -- mutated input files ----------------------------------------------------------
+
+SMALL_BUDGET = ["--budget-nodes", "2000", "--budget-vertices", "10", "--budget-secs", "10"]
+SUBCOMMANDS = {
+    "verify": ["verify", "tree9.edges", "tree9.labels"],
+    "classify": ["classify", "tree9.edges", *SMALL_BUDGET],
+    "label": ["label", "tree9.edges", *SMALL_BUDGET],
+    "matrix": ["matrix", "tree9.edges", "tree9.labels"],
+    "shift": ["shift", "lobster26_biadj.txt", "lobster26.moves", *SMALL_BUDGET],
+    "search": ["search", "tree9.edges", *SMALL_BUDGET],
+    "export-dot": ["export-dot", "tree9.edges", "tree9.labels"],
+}
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "replace", "dup-line", "drop-line"]),
+        st.integers(0, 10**6),
+        st.sampled_from("0123456789 -#>\nakx"),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(text: str, mutations) -> str:
+    """Apply character and line edits at positions taken modulo the text size."""
+    for op, at, ch in mutations:
+        if op in ("dup-line", "drop-line"):
+            lines = text.splitlines(keepends=True)
+            if lines:
+                j = at % len(lines)
+                lines[j : j + 1] = [lines[j]] * (2 if op == "dup-line" else 0)
+                text = "".join(lines)
+            continue
+        i = at % (len(text) + 1)
+        rest = text[i:] if op == "insert" else text[i + 1 :]
+        text = text[:i] + ("" if op == "delete" else ch) + rest
+    return text
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_fixture_never_escapes_main(command, data):
+    """Every subcommand answers a mutated input file with an exit code 0-3,
+    and a parse or usage error (exit 2) with one line on stderr only."""
+    argv = SUBCOMMANDS[command]
+    name = data.draw(st.sampled_from([a for a in argv if (FIXTURES / a).is_file()]))
+    text = mutate(fixture_text(name), data.draw(MUTATIONS))
+    with tempfile.TemporaryDirectory() as tmp:
+        for a in argv:
+            if (FIXTURES / a).is_file():
+                Path(tmp, a).write_text(text if a == name else fixture_text(a))
+        paths = [str(Path(tmp, a)) if (FIXTURES / a).is_file() else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(paths)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1

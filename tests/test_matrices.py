@@ -249,7 +249,7 @@ class TestShiftOnes:
         assert shift_ones(lobster26_matrix, []) == lobster26_matrix
 
     def test_paper_shift_byte_exact(self, lobster26_matrix, lobster26_moves):
-        shifted = shift_ones(lobster26_matrix, lobster26_moves, require_tree_result=True)
+        shifted = shift_ones(lobster26_matrix, lobster26_moves)
         assert print_matrix(shifted) == fixture_text("lobster26_shifted.txt")
 
     def test_uncompensated_move_rejected(self, lobster26_matrix):
