@@ -119,3 +119,19 @@ def rooted_isomorphism_map(
             mapping[c1] = c2
             stack.append((c1, c2))
     return mapping
+
+
+def isomorphism_map(t1: Graph, t2: Graph) -> dict[int, int] | None:
+    """A vertex map realizing a free-tree isomorphism t1 -> t2, or None.
+
+    Both trees are rooted at a centroid, as free_code does: t1 at its first
+    one, t2 at whichever of its own takes that root's place.
+    """
+    if t1.num_vertices != t2.num_vertices:
+        return None
+    root = centroids(t1)[0]
+    for c in centroids(t2):
+        mapping = rooted_isomorphism_map(t1, root, t2, c)
+        if mapping is not None:
+            return mapping
+    return None

@@ -15,9 +15,11 @@ the grid's area.  Dense rows appear only when `formats.print_matrix` or
 Every assembler also returns where each block's slots landed, as a map
 from the block's slot ids to result ids (the antidiagonal stack in
 `_antidiagonal`, the copy chain, the merge chain).  Every vertex and copy
-map, here and in `lobster_labeling`, is read from those landing maps, so
-the block layout is the only place that knows which part vertex becomes
-which result vertex.
+map of the propositions here, and of the balanced lobster route, is read
+from those landing maps, so the block layout is the only place that knows
+which part vertex becomes which result vertex.  The linked and similar
+lobster routes need no landing maps: they certify through a tree
+isomorphism between the input and the assembled result.
 
 Copies are implicit in several compositions: reading a symmetric adjacency
 grid as a biadjacency block splits a connected bipartite part into the two

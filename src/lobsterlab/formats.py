@@ -117,7 +117,9 @@ def print_matrix(m: LabeledMatrix) -> str:
 
 
 def parse_matrix(text: str) -> LabeledMatrix:
-    lines = [line.rstrip("\n") for line in text.splitlines() if line.strip()]
+    # lines count by position: a grid with no columns has a blank column
+    # label line and blank grid lines; blank lines after the grid are ignored
+    lines = text.splitlines()
     if len(lines) < 3:
         raise FormatError("matrix file too short")
     head = lines[0].split()
@@ -129,7 +131,7 @@ def parse_matrix(text: str) -> LabeledMatrix:
         else:
             raise ValueError
         rows, cols = int(head[1]), int(head[2])
-    except ValueError:
+    except (ValueError, IndexError):
         raise FormatError(f"bad matrix header {lines[0]!r}") from None
     try:
         row_labels = [int(x) for x in lines[1].split()]
@@ -138,7 +140,8 @@ def parse_matrix(text: str) -> LabeledMatrix:
         raise FormatError("label lines must hold integers") from None
     if len(row_labels) != rows or len(col_labels) != cols:
         raise FormatError("label lines do not match declared dimensions")
-    grid_lines = lines[3:]
+    grid_lines = lines[3 : 3 + rows]
+    grid_lines += [line for line in lines[3 + len(grid_lines) :] if line.strip()]
     if len(grid_lines) != rows:
         raise FormatError(f"expected {rows} grid lines, found {len(grid_lines)}")
     ones = set()

@@ -19,10 +19,13 @@ search), and every certificate from one path: _certify_tree
 hands the grid to constructions._certify and then checks that the result
 has the input tree's size, so the certified id map is an isomorphism.
 
-That id map is read from the assemblers' landing maps (slot id -> result
-id): piece vertices are looked up by their slot ids, and pendants by the
-ids of the first slots, where the insert_pendant_* functions put them
-while keeping every existing slot id.  No offset arithmetic happens here.
+Which slot an input vertex lands in does not matter to a certificate of
+the input tree, only that the assembled tree is isomorphic to it.  So the
+linked and similar routes build their grids and take the id map from one
+tree isomorphism between the input and the result, both rooted at
+centroids (canonical.isomorphism_map).  The balanced route reads its map
+off the chain's landing maps through each piece's vertex roles, and the
+sweep and search label the input itself.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ConstructionError, GraphStructureError
+from .canonical import isomorphism_map
 from .graphs import (
     CATERPILLAR,
     LOBSTER,
@@ -41,6 +45,7 @@ from .graphs import (
     build_graph,
     classify_tree,
     diameter_path,
+    is_tree,
     require_tree,
     tree_centers,
     tree_diameter,
@@ -51,13 +56,14 @@ from .matrices import (
     LabeledMatrix,
     canonical_adjacency,
     canonical_biadjacency,
+    matrix_to_graph,
 )
 from .constructions import (
     CLAIM_BETA,
     CLAIM_COMPLETE_ALPHA,
     Certificate,
+    Part,
     _certify,
-    _double_cover_maps,
     chain_km_matrix,
     copy_chain_matrix,
     double_matrix,
@@ -456,18 +462,17 @@ def _pairwise_isomorphic(lob: Lobster) -> bool:
     )
 
 
-_LabeledPiece = tuple[LinkedPiece, Graph, Labeling, dict[int, int]]
+_LabeledPiece = tuple[LinkedPiece, Graph, Labeling]
 
 
 def _peel_linked(lob: Lobster, budget: SearchBudget | None) -> list[_LabeledPiece] | None:
     """Suffix peeling: the last piece is the last reduced lobe; every lobe
     before it sheds a copy of the following piece's branch multiset.
 
-    Each piece comes back with its piece graph, a glue-max labeling of it
-    and the input id -> piece id index.  Fails when the subtraction leaves a
-    deficit or some piece admits no glue-max labeling.  Branches of equal
-    leaf count are interchangeable, so which concrete branch is shed is
-    immaterial.
+    Each piece comes back with its piece graph and a glue-max labeling of
+    it.  Fails when the subtraction leaves a deficit or some piece admits
+    no glue-max labeling.  Branches of equal leaf count are
+    interchangeable, so which concrete branch is shed is immaterial.
     """
     r = lob.spine_length
     pieces: list[_LabeledPiece] = []
@@ -491,7 +496,7 @@ def _peel_linked(lob: Lobster, budget: SearchBudget | None) -> list[_LabeledPiec
         res = _glue_max_labeling(g, index[piece.spine_vertex], budget)
         if res.status != FOUND:
             return None
-        pieces.append((piece, g, res.labeling, index))
+        pieces.append((piece, g, res.labeling))
         needed = tuple(br.leaf_count for br in piece.branches)
     return pieces[::-1]
 
@@ -635,7 +640,7 @@ def classify_lobster(
     for d in directions:
         peeled = _peel_linked(d, budget)
         if peeled is not None:
-            linked_pieces = tuple(piece for piece, _, _, _ in peeled)
+            linked_pieces = tuple(piece for piece, _, _ in peeled)
             break
     balanced, trivially = _pairwise_balanced(lob)
     return LobsterClassification(
@@ -657,7 +662,7 @@ def _certify_tree(
     claim: str,
     matrix: LabeledMatrix,
     t: Graph,
-    input_map: dict[int, int],
+    input_map: dict[int, int] | None,
     details: dict,
 ) -> Certificate:
     """Certify a labeling of the input tree t itself.
@@ -665,34 +670,19 @@ def _certify_tree(
     constructions._certify re-verifies the grid and checks that input_map
     sends t injectively into the result with every edge present; a result
     of t's vertex and edge counts then makes input_map an isomorphism.
+    input_map None takes the map from a tree isomorphism of t onto the
+    result, so a result of another shape fails.
     """
+    if input_map is None:
+        g, _ = matrix_to_graph(matrix)
+        input_map = isomorphism_map(t, g) if is_tree(g) else None
+        if input_map is None:
+            raise ConstructionError(f"{construction}: result is not isomorphic to the input")
     cert = _certify(construction, claim, matrix, [t], [input_map], None, details)
     g = cert.result_graph
     if (g.num_vertices, g.num_edges) != (t.num_vertices, t.num_edges):
         raise ConstructionError(f"{construction}: result size differs from the input")
     return cert
-
-
-def _matched_branches(own: Sequence[Branch], target: Sequence[Branch]) -> dict[int, int]:
-    """Own vertex -> target vertex for two sets of branches with equal leaf
-    counts: branches pair up in (leaf count, center) order, leaves in id order."""
-
-    def key(b: Branch) -> tuple[int, int]:
-        return b.leaf_count, b.center
-
-    out = {}
-    for a, b in zip(sorted(own, key=key), sorted(target, key=key)):
-        out[a.center] = b.center
-        out.update(zip(sorted(a.leaves), sorted(b.leaves)))
-    return out
-
-
-def _pendants_on_top(
-    pendants: Sequence[int], slots: Sequence[tuple[int, int]], where: dict[int, int]
-) -> dict[int, int]:
-    """Input pendant -> result id for pendants inserted as the first slots,
-    the smallest pendant on top."""
-    return {p: where[vid] for p, (vid, _) in zip(sorted(pendants), slots)}
 
 
 def _pendant_augmented_adjacency(g: Graph, f: Labeling, pendants: int) -> LabeledMatrix:
@@ -735,53 +725,28 @@ def label_pairwise_linked(
             break
     if labeled is None:
         raise ConstructionError("no linked decomposition found")
-    r = len(labeled)
 
-    _, head_g, head_f, head_index = labeled[0]
+    _, head_g, head_f = labeled[0]
     head_mat = _pendant_augmented_adjacency(head_g, head_f, len(chosen.pendants[0]))
     doubles = [
         _pendant_augmented_double(g_i, f_i, len(chosen.pendants[i]), 0)
-        for i, (_, g_i, f_i, _) in enumerate(labeled[1:], start=1)
+        for i, (_, g_i, f_i) in enumerate(labeled[1:], start=1)
     ]
-    matrix, landed = merge_chain_matrix(head_mat, doubles)
-
-    input_map = {v: landed[0][dense] for v, dense in head_index.items()}
-    input_map.update(_pendants_on_top(chosen.pendants[0], head_mat.row_slots, landed[0]))
-    for i in range(1, r):
-        piece, g_i, f_i, index_i = labeled[i]
-        orig, copy = _double_cover_maps(g_i, f_i, g_i.num_edges, landed[i])
-        # the piece itself (including spine vertex i) is the copy hanging at
-        # spine slot i; the branches shed from lobe i-1 are the original
-        # component, glued at spine slot i-1
-        for v, dense in index_i.items():
-            input_map[v] = copy[dense]
-        kept_centers = {b.center for b in labeled[i - 1][0].branches}
-        removed = [
-            br for br in chosen.lobes[i - 1] if br.center not in kept_centers
-        ]
-        for shed, target in _matched_branches(removed, piece.branches).items():
-            input_map[shed] = orig[index_i[target]]
-        input_map.update(
-            _pendants_on_top(chosen.pendants[i], doubles[i - 1].row_slots, landed[i])
-        )
-
+    matrix, _ = merge_chain_matrix(head_mat, doubles)
     return _certify_tree(
-        "pairwise-linked", CLAIM_BETA, matrix, t, input_map, {"pieces": r}
+        "pairwise-linked", CLAIM_BETA, matrix, t, None, {"pieces": len(labeled)}
     )
-
-
-_SimilarPart = tuple[Graph, Labeling, dict[int, int], bool]
 
 
 def _similar_parts(
     chosen: Lobster, budget: SearchBudget | None
-) -> tuple[list[_SimilarPart], list[int]]:
+) -> tuple[list[Part], list[int]]:
     """Glue-max labeled parts for the pairwise similar pipeline.
 
-    Returns one entry per lobe pair (plus the unpaired final lobe for odd
-    spines): (graph, labeling, input-id index, promoted) where promoted
-    records that one pendant was pulled into the lobe to fix the parity.
-    Also returns the leftover pendant count per spinal position.
+    Returns one (graph, labeling) per lobe pair (plus the unpaired final
+    lobe for odd spines); a lobe with an even branch count has one pendant
+    promoted into it to fix the parity.  Also returns the leftover pendant
+    count per spinal position.
     """
     parity = spinal_parity(chosen)
     r = chosen.spine_length
@@ -808,7 +773,7 @@ def _similar_parts(
                 f"no glue-max labeling for the lobe at spine vertex "
                 f"{glue} (status {res.status})"
             )
-        parts.append((g, res.labeling, index, promoted[i]))
+        parts.append((g, res.labeling))
     return parts, leftover
 
 
@@ -820,8 +785,9 @@ def label_pairwise_similar(
     Consecutive lobes pair up; each pair is served by one glue-max labeled
     lobe plus its implicit copy.  Even spines chain the doubled lobes
     critical-to-max; odd spines close the chain with the final lobe as an
-    adjacency block.  Promoted pendants fix even branch counts before the
-    lobes are labeled; the rest return through pendant insertions.
+    adjacency block, around which the chain is embedded.  Promoted pendants
+    fix even branch counts before the lobes are labeled; the rest return
+    through pendant insertions.
     """
     lob = lobster_decompose(t)
     chosen = None
@@ -832,86 +798,25 @@ def label_pairwise_similar(
     if chosen is None:
         raise ConstructionError("lobster is not pairwise similar")
     parts, leftover = _similar_parts(chosen, budget)
-    return _similar_chain(t, chosen, parts, leftover)
-
-
-def _leftover_pendants(chosen: Lobster, i: int, promoted: bool) -> list[int]:
-    """Pendants at spinal position i that were not promoted into the lobe."""
-    return sorted(chosen.pendants[i])[1 if promoted else 0 :]
-
-
-def _similar_chain(
-    t: Graph,
-    chosen: Lobster,
-    parts: Sequence[_SimilarPart],
-    leftover: Sequence[int],
-) -> Certificate:
-    """Chain of doubled lobes, closed by the final lobe on odd spines.
-
-    Pair p's copy hangs at spine position 2p and its original at 2p+1.  The
-    doubles chain critical-to-max; an odd spine embeds the chain around the
-    final lobe's adjacency block, and each pair's landing map is then read
-    through the copy chain's.
-    """
     r = chosen.spine_length
     pairs = parts[: r // 2]
     if not pairs:
         raise ConstructionError(
             "single-lobe similar lobster: use the linked pipeline instead"
         )
+    # pair p's copy hangs at spine position 2p and its original at 2p+1
     mats = [
         _pendant_augmented_double(g, f, leftover[2 * p], leftover[2 * p + 1])
-        for p, (g, f, _, _) in enumerate(pairs)
+        for p, (g, f) in enumerate(pairs)
     ]
-    matrix, landed = chain_km_matrix(mats)
-    input_map: dict[int, int] = {}
+    matrix, _ = chain_km_matrix(mats)
     if r % 2:
-        tail_g, tail_f, tail_index, tail_promoted = parts[-1]
+        tail_g, tail_f = parts[-1]
         tail_mat = _pendant_augmented_adjacency(tail_g, tail_f, leftover[-1])
-        matrix, (chain_at, tail_at) = copy_chain_matrix(matrix, tail_mat)
-        landed = [{s: chain_at[v] for s, v in where.items()} for where in landed]
-        input_map = {v: tail_at[dense] for v, dense in tail_index.items()}
-        input_map.update(_pendants_on_top(
-            _leftover_pendants(chosen, r - 1, tail_promoted), tail_mat.row_slots, tail_at
-        ))
-
-    for p, ((g, f, index, promoted), d, where) in enumerate(zip(pairs, mats, landed)):
-        orig, copy = _double_cover_maps(g, f, g.num_edges, where)
-        _map_similar_pair(input_map, chosen, 2 * p, index, copy, promoted)
-        _map_similar_pair(input_map, chosen, 2 * p + 1, index, orig, promoted)
-        input_map.update(_pendants_on_top(
-            _leftover_pendants(chosen, 2 * p, promoted), d.row_slots, where
-        ))
-        input_map.update(_pendants_on_top(
-            _leftover_pendants(chosen, 2 * p + 1, promoted), d.col_slots, where
-        ))
+        matrix, _ = copy_chain_matrix(matrix, tail_mat)
     return _certify_tree(
-        "pairwise-similar", CLAIM_BETA, matrix, t, input_map, {"spine": r}
+        "pairwise-similar", CLAIM_BETA, matrix, t, None, {"spine": r}
     )
-
-
-def _map_similar_pair(
-    input_map: dict[int, int],
-    chosen: Lobster,
-    position: int,
-    index: dict[int, int],
-    side_map: dict[int, int],
-    promoted: bool,
-) -> None:
-    """Map the lobe at a spinal position onto one cover component.
-
-    The labeled part came from the FIRST lobe of the pair, so the other
-    member's vertices travel through the leaf-count pairing of isomorphic
-    branches (plus spine vertex to glue, promoted pendant to promoted slot).
-    side_map sends part ids to result ids.
-    """
-    pair_base = (position // 2) * 2
-    to_part = _matched_branches(chosen.lobes[position], chosen.lobes[pair_base])
-    to_part[chosen.spine[position]] = chosen.spine[pair_base]
-    if promoted:
-        to_part[min(chosen.pendants[position])] = min(chosen.pendants[pair_base])
-    for own, part in to_part.items():
-        input_map[own] = side_map[index[part]]
 
 
 def label_pairwise_balanced(t: Graph) -> Certificate:

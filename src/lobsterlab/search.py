@@ -38,7 +38,8 @@ class SearchBudget:
     time_limit: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_vertices <= 0 or self.max_nodes <= 0 or self.time_limit <= 0:
+        # `not x > 0` also rejects NaN, which would disable a cap
+        if not (self.max_vertices > 0 and self.max_nodes > 0 and self.time_limit > 0):
             raise ValueError("budget fields must be positive")
 
 

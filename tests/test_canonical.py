@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from lobsterlab.canonical import (
     centroids,
     free_code,
+    isomorphism_map,
     rooted_code,
     rooted_isomorphism_map,
     tree_isomorphic,
@@ -89,7 +91,20 @@ def test_rooted_isomorphism_map_is_isomorphism():
     assert mapping is not None and mapping[0] == 5
     mapped = {tuple(sorted((mapping[u], mapping[v]))) for u, v in t1.edges}
     assert mapped == set(t2.edges)
+    # the centroid-rooted free map, onto every small tree with its ids shuffled
+    rng = random.Random(8)
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            ids = list(range(n))
+            rng.shuffle(ids)
+            shuffled = build_graph(n, [(ids[u], ids[v]) for u, v in t.edges])
+            mapping = isomorphism_map(t, shuffled)
+            assert sorted(mapping) == sorted(mapping.values()) == list(range(n))
+            mapped = {tuple(sorted((mapping[u], mapping[v]))) for u, v in t.edges}
+            assert mapped == set(shuffled.edges)
 
 
 def test_rooted_isomorphism_map_none_when_different():
     assert rooted_isomorphism_map(star_graph(3), 0, path_graph(4), 0) is None
+    assert isomorphism_map(star_graph(3), path_graph(4)) is None
+    assert isomorphism_map(star_graph(3), path_graph(5)) is None

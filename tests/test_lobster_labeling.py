@@ -487,6 +487,21 @@ class TestTreeCertificate:
         with pytest.raises(ConstructionError, match="size differs"):
             _certify_tree("probe", CLAIM_BETA, matrix, p3, ids, {})
 
+    def test_result_of_another_shape_rejected(self):
+        from lobsterlab.constructions import CLAIM_BETA
+        from lobsterlab.labelings import beta_labeling
+        from lobsterlab.lobster_labeling import _certify_tree
+        from lobsterlab.matrices import canonical_adjacency
+
+        p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        matrix = canonical_adjacency(star, beta_labeling({0: 0, 1: 1, 2: 2, 3: 3}))
+        # same vertex and edge counts, but no isomorphism to take the map from
+        with pytest.raises(ConstructionError, match="probe: result is not isomorphic"):
+            _certify_tree("probe", CLAIM_BETA, matrix, p4, None, {})
+        cert = _certify_tree("probe", CLAIM_BETA, matrix, star, None, {})
+        assert cert.vertex_maps[0][0] == 0
+
 
 class TestGlueMaxSearchCalls:
     """The linked route labels each piece while peeling, never twice."""

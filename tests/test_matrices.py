@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lobsterlab.constructions import verify_certificate
 from lobsterlab.errors import LabelingInputError, MatrixError
@@ -296,6 +296,7 @@ class TestCaterpillarMatrices:
         st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=8),
         st.integers(min_value=0, max_value=2**31),
     )
+    @example([0], 0)  # K1: the biadjacency file has blank column and grid lines
     def test_codec_transforms_and_graph_round_trip(self, leaf_counts, seed):
         g = caterpillar(leaf_counts, seed)
         f = label_caterpillar(g)

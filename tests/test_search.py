@@ -107,6 +107,13 @@ class TestBruteForceGraceful:
         res = brute_force_graceful(path_graph(5), tiny)
         assert res.status == BUDGET_EXCEEDED
 
+    @pytest.mark.parametrize("field", ["max_vertices", "max_nodes", "time_limit"])
+    @pytest.mark.parametrize("value", [0, -1, float("nan")])
+    def test_budget_fields_must_be_positive(self, field, value):
+        # NaN compares false both ways, so it must not slip past as "positive"
+        with pytest.raises(ValueError, match="positive"):
+            SearchBudget(**{field: value})
+
     def test_deterministic(self, tree9):
         a = brute_force_graceful(tree9)
         b = brute_force_graceful(tree9)
