@@ -17,9 +17,9 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import FormatError, LobsterLabError
+from .errors import FormatError, GraphStructureError, LobsterLabError
 from . import formats
-from .graphs import classify_tree, is_tree
+from .graphs import DEEPER, classify_tree
 from .labelings import verify_alpha, verify_beta
 from .lobsters import lobster_decompose
 from .lobster_labeling import (
@@ -78,19 +78,21 @@ def _read(path: str) -> str:
 def _budget_from(args: argparse.Namespace) -> SearchBudget:
     """The search budget of a subcommand's --budget-* options.
 
-    Seconds default to GRACEFUL_BUDGET_SECS, else 60; nodes to 5 M and
-    vertices to 14.  Every value must be a positive number.
+    Seconds default to GRACEFUL_BUDGET_SECS, else SearchBudget's time
+    limit; nodes and vertices to SearchBudget's.  Every value must be a
+    positive number.
     """
+    default = SearchBudget()
     secs, secs_name = args.budget_secs, "--budget-secs"
     if secs is None:
         secs_name = "GRACEFUL_BUDGET_SECS"
-        env = os.environ.get(secs_name, "60")
+        env = os.environ.get(secs_name, str(default.time_limit))
         try:
             secs = float(env)
         except ValueError:
             raise FormatError(f"GRACEFUL_BUDGET_SECS is not a number: {env!r}") from None
-    nodes = 5_000_000 if args.budget_nodes is None else args.budget_nodes
-    vertices = 14 if args.budget_vertices is None else args.budget_vertices
+    nodes = default.max_nodes if args.budget_nodes is None else args.budget_nodes
+    vertices = default.max_vertices if args.budget_vertices is None else args.budget_vertices
     for name, value in (
         (secs_name, secs),
         ("--budget-nodes", nodes),
@@ -134,16 +136,26 @@ def _lobster_flags(cls: LobsterClassification) -> dict[str, bool]:
     }
 
 
+def _tree_class(g, budget: SearchBudget) -> tuple[str | None, LobsterClassification | None]:
+    """g's tree class (None for a non-tree) and, up to lobsters, its flags."""
+    try:
+        kind = classify_tree(g)
+    except GraphStructureError:
+        return None, None
+    if kind == DEEPER:
+        return kind, None
+    return kind, classify_lobster(lobster_decompose(g), budget)
+
+
 def cmd_classify(args) -> int:
     g = formats.parse_edges(_read(args.graph))
-    if not is_tree(g):
+    kind, cls = _tree_class(g, args.budget)
+    if kind is None:
         _emit(args, {"class": "not-a-tree"}, "not-a-tree")
         return NEGATIVE
-    kind = classify_tree(g)
     payload: dict = {"class": kind}
     lines = [f"class {kind}"]
-    if kind in ("path", "caterpillar", "lobster", "single-vertex"):
-        cls = classify_lobster(lobster_decompose(g), args.budget)
+    if cls is not None:
         flags = _lobster_flags(cls)
         payload["flags"] = flags
         payload["spinal-parity"] = list(cls.spinal_parity)
@@ -284,15 +296,11 @@ def cmd_shift(args) -> int:
         print(f"fail {exc}", file=sys.stderr)
         return NEGATIVE
     sys.stdout.write(formats.print_matrix(shifted))
-    g, _ = matrix_to_graph(shifted)
-    if not is_tree(g):
+    kind, cls = _tree_class(matrix_to_graph(shifted)[0], args.budget)
+    if kind is None:
         print("class: not-a-tree")
         return OK
-    kind = classify_tree(g)
-    flags = []
-    if kind in ("path", "caterpillar", "lobster", "single-vertex"):
-        cls = classify_lobster(lobster_decompose(g), args.budget)
-        flags = [name for name, value in _lobster_flags(cls).items() if value]
+    flags = [name for name, value in _lobster_flags(cls).items() if value] if cls else []
     print(f"class: {kind}; flags: {', '.join(flags) if flags else 'none'}")
     return OK
 

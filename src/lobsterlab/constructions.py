@@ -346,7 +346,7 @@ def disjoint_union_alpha(parts: Sequence[Part]) -> Certificate:
                 f"disjoint-union: part {idx} failed verification: {verdict.reason}"
             )
         mats.append(canonical_biadjacency(g, f, bound))
-    matrix, landed = _antidiagonal(mats)
+    matrix, landed = _antidiagonal("disjoint-union", mats)
     cert = _certify(
         "disjoint-union",
         CLAIM_ALPHA,
@@ -362,14 +362,18 @@ def disjoint_union_alpha(parts: Sequence[Part]) -> Certificate:
 
 
 def _antidiagonal(
-    mats: Sequence[LabeledMatrix], seams: Iterable[tuple[int, int]] = ()
+    construction: str,
+    mats: Sequence[LabeledMatrix],
+    seams: Iterable[tuple[int, int]] = (),
 ) -> tuple[LabeledMatrix, list[dict[int, int]]]:
     """Biadjacency blocks stacked along the antidiagonal, joined at seams.
 
     Block 0 takes the top rows and the rightmost columns, each further block
     the rows below and the columns to the left.  A seam (a, b) adds one 1
-    where block a's last row meets block b's last column.  Returns the grid
-    and, per block, where its slots landed (slot id -> result id).
+    where block a's last row meets block b's last column; an edgeless part
+    (K1) has no columns, or no rows when transposed, so a seam that needs
+    one is refused.  Returns the grid and, per block, where its slots
+    landed (slot id -> result id).
     """
     total_r = sum(m.num_rows for m in mats)
     c0 = sum(m.num_cols for m in mats)
@@ -384,6 +388,11 @@ def _antidiagonal(
         corners.append((r0 + mat.num_rows - 1, c0 + mat.num_cols - 1))
         r0 += mat.num_rows
     for a, b in seams:
+        if not (mats[a].num_rows and mats[b].num_cols):
+            raise ConstructionError(
+                f"{construction}: part {b if mats[a].num_rows else a} has no edge "
+                "to join at a seam"
+            )
         builder.set(corners[a][0], corners[b][1])
     return builder.to_biadjacency(total_r - 1), landed
 
@@ -397,7 +406,7 @@ def chain_km_matrix(
     (its maximum vertex): one extra 1 per consecutive pair.  Also returns
     where each block's slots landed.
     """
-    return _antidiagonal(mats, [(i, i + 1) for i in range(len(mats) - 1)])
+    return _antidiagonal("chain-km", mats, [(i, i + 1) for i in range(len(mats) - 1)])
 
 
 def chain_join_km(parts: Sequence[Part]) -> Certificate:
@@ -453,7 +462,7 @@ def chain_join_mm(parts: Sequence[Part], mode: str = MODE_ALTERNATING) -> Certif
         (s - 1, s) if mode == MODE_ALTERNATING or s % 2 == 1 else (s, s - 1)
         for s in range(1, len(parts))
     ]
-    matrix, landed = _antidiagonal(mats, seams)
+    matrix, landed = _antidiagonal("chain-mm", mats, seams)
     cert = _certify(
         "chain-mm",
         CLAIM_COMPLETE_ALPHA,

@@ -3,7 +3,12 @@
 Vertices are dense integer ids ``0..num_vertices-1``; edges are unordered
 pairs.  Trees are classified along the chain
 single-vertex < path < caterpillar < lobster < deeper, where each class is
-defined through the ``base`` operation (delete all degree-1 vertices).
+defined through the ``base`` operation (delete all degree-1 vertices): a
+caterpillar's base is a path, a lobster's base is a caterpillar.
+
+``base`` builds the base as a graph of its own.  The classifier and the
+lobster decomposition need only its vertices and their degrees, so they
+strip leaves in place, one pass per level (``strip_levels``).
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import GraphStructureError
 
@@ -219,23 +224,31 @@ def base(t: Graph) -> Graph:
     return base_with_map(t)[0]
 
 
+def strip_levels(t: Graph) -> Iterator[dict[int, int]]:
+    """t, its base, the base of its base, ... as vertex -> degree inside it.
+
+    Each level keeps the vertices of the level before whose degree there
+    is not 1, and counts their neighbours among the kept; a single vertex
+    is its own base and the base of K2 is empty.  The levels never end, so
+    a caller takes as many as it needs.  t must be a tree.
+    """
+    level = {v: t.degree(v) for v in t.vertices()}
+    while True:
+        yield level
+        kept = {v for v, d in level.items() if d != 1}
+        level = {v: sum(w in kept for w in t.neighbors(v)) for v in kept}
+
+
 def classify_tree(t: Graph) -> str:
-    """Smallest class of t along single-vertex < path < caterpillar < lobster."""
+    """Smallest class of t along single-vertex < path < caterpillar < lobster.
+
+    t is a path, caterpillar or lobster when t, its base or the base of its
+    base has no vertex of degree above 2 there.
+    """
     require_tree(t)
     if t.num_vertices == 1:
         return SINGLE_VERTEX
-    if all(t.degree(v) <= 2 for v in t.vertices()):
-        return PATH
-    b = base(t)
-    if _is_path_or_smaller(b):
-        return CATERPILLAR
-    bb = base(b)
-    if _is_path_or_smaller(bb):
-        return LOBSTER
+    for kind, level in zip((PATH, CATERPILLAR, LOBSTER), strip_levels(t)):
+        if all(d <= 2 for d in level.values()):
+            return kind
     return DEEPER
-
-
-def _is_path_or_smaller(g: Graph) -> bool:
-    if g.num_vertices <= 1:
-        return True
-    return is_tree(g) and all(g.degree(v) <= 2 for v in g.vertices())

@@ -13,6 +13,12 @@ Three structural classes of lobsters admit certified labelings here:
 A dispatcher tries the caterpillar sweep, the three classes and finally
 plain search, returning the first certificate that verifies.
 
+Each class has one decider, and both classify_lobster and the class's
+route call it: _balanced_specs (the balanced piece of each spinal pair),
+_linked_pieces (a direction with its labeled pieces) and
+_similar_direction (a direction whose lobe pairs match).  So a flag is yes
+exactly when its route gets past its decider.
+
 Every glue-max labeling of a lobe or piece comes from one helper
 (_glue_max_labeling: a single branch directly, any other piece by pinned
 search), and every certificate from one path: _certify_tree
@@ -31,8 +37,8 @@ sweep and search label the input itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .errors import ConstructionError, GraphStructureError
 from .canonical import isomorphism_map
@@ -409,23 +415,13 @@ def label_caterpillar(t: Graph) -> Labeling:
 
 
 @dataclass(frozen=True)
-class LinkedPiece:
-    """One piece of a linked decomposition: its spine vertex and branches."""
-
-    spine_vertex: int
-    branches: tuple[Branch, ...]
-
-
-@dataclass(frozen=True)
 class LobsterClassification:
     pairwise_isomorphic: bool
     pairwise_similar: bool
     spinal_parity: tuple[str, ...]
     pairwise_linked: bool
-    linked_pieces: tuple[LinkedPiece, ...] | None
     pairwise_balanced: bool
     pairwise_trivially_balanced: bool
-    details: dict = field(default_factory=dict)
 
 
 def spinal_parity(lob: Lobster) -> tuple[str, ...]:
@@ -442,68 +438,60 @@ def spinal_parity(lob: Lobster) -> tuple[str, ...]:
     return tuple(tags)
 
 
-def _lobe_count_multisets(lob: Lobster) -> list[tuple[int, ...]]:
-    return [lob.branch_leaf_counts(i) for i in range(lob.spine_length)]
+def _similar_direction(
+    lob: Lobster, key: Callable[[Lobster, int], object] = Lobster.branch_leaf_counts
+) -> Lobster | None:
+    """The first of lob and its reversal whose spinal pairs (0, 1), (2, 3),
+    ... agree on key(direction, position), else None.
 
-
-def _pairwise_similar(lob: Lobster) -> bool:
-    lobes = _lobe_count_multisets(lob)
-    r = len(lobes)
-    return all(lobes[i] == lobes[i + 1] for i in range(0, r - 1, 2))
-
-
-def _pairwise_isomorphic(lob: Lobster) -> bool:
-    lobes = _lobe_count_multisets(lob)
-    pend = lob.pendant_counts
-    r = len(lobes)
-    return all(
-        lobes[i] == lobes[i + 1] and pend[i] == pend[i + 1]
-        for i in range(0, r - 1, 2)
-    )
-
-
-_LabeledPiece = tuple[LinkedPiece, Graph, Labeling]
-
-
-def _peel_linked(lob: Lobster, budget: SearchBudget | None) -> list[_LabeledPiece] | None:
-    """Suffix peeling: the last piece is the last reduced lobe; every lobe
-    before it sheds a copy of the following piece's branch multiset.
-
-    Each piece comes back with its piece graph and a glue-max labeling of
-    it.  Fails when the subtraction leaves a deficit or some piece admits
-    no glue-max labeling.  Branches of equal leaf count are
-    interchangeable, so which concrete branch is shed is immaterial.
+    The default key, the sorted branch leaf counts of a lobe, decides
+    pairwise similar.
     """
-    r = lob.spine_length
-    pieces: list[_LabeledPiece] = []
-    needed: tuple[int, ...] = ()
-    for i in range(r - 1, -1, -1):
-        lobe = lob.lobes[i]
-        if i == r - 1:
-            keep = list(lobe)
-        else:
+    for d in (lob, lob.reversed()):
+        if all(key(d, i) == key(d, i + 1) for i in range(0, d.spine_length - 1, 2)):
+            return d
+    return None
+
+
+def _linked_pieces(
+    lob: Lobster, budget: SearchBudget | None
+) -> tuple[Lobster, list[Part]] | None:
+    """A pairwise linked direction of lob and its glue-max labeled pieces.
+
+    Suffix peeling, on lob and then on its reversal: the last piece is the
+    last reduced lobe; every lobe before it sheds a copy of the following
+    piece's branch multiset.  A direction fails when the subtraction leaves
+    a deficit or some piece admits no glue-max labeling; None when both
+    fail.  Branches of equal leaf count are interchangeable, so which
+    concrete branch is shed is immaterial.
+    """
+    for d in (lob, lob.reversed()):
+        pieces: list[Part] = []
+        needed: list[int] = []
+        for i in range(d.spine_length - 1, -1, -1):
             counts = Counter(needed)
             keep = []
-            for br in lobe:
+            for br in d.lobes[i]:
                 if counts[br.leaf_count] > 0:
                     counts[br.leaf_count] -= 1
                 else:
                     keep.append(br)
             if any(c > 0 for c in counts.values()):
-                return None
-        piece = LinkedPiece(lob.spine[i], tuple(keep))
-        g, index = _piece_graph(piece.spine_vertex, piece.branches, ())
-        res = _glue_max_labeling(g, index[piece.spine_vertex], budget)
-        if res.status != FOUND:
-            return None
-        pieces.append((piece, g, res.labeling))
-        needed = tuple(br.leaf_count for br in piece.branches)
-    return pieces[::-1]
+                break
+            g, index = _piece_graph(d.spine[i], keep, ())
+            res = _glue_max_labeling(g, index[d.spine[i]], budget)
+            if res.status != FOUND:
+                break
+            pieces.append((g, res.labeling))
+            needed = [br.leaf_count for br in keep]
+        else:
+            return d, pieces[::-1]
+    return None
 
 
 def _balanced_slot_values(
     xs: Sequence[int], ys: Sequence[int]
-) -> tuple[list[int], list[int]] | None:
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Orderings of the two count multisets satisfying the balance system.
 
     The even-index equations collapse each side to its odd-index values;
@@ -515,7 +503,7 @@ def _balanced_slot_values(
     if len(ys) != r:
         return None
     if r == 0:
-        return [], []
+        return (), ()
 
     def odd_part(n: int) -> int:
         while n % 2 == 0:
@@ -588,69 +576,63 @@ def _balanced_slot_values(
 
     if not assign(0):
         return None
-    x_order = [chosen[("x", odd_part(i))] for i in range(1, r + 1)]
-    y_order = [chosen[("y", odd_part(i))] for i in range(1, r + 1)]
+    x_order = tuple(chosen[("x", odd_part(i))] for i in range(1, r + 1))
+    y_order = tuple(chosen[("y", odd_part(i))] for i in range(1, r + 1))
     if sorted(x_order) != sorted(xs) or sorted(y_order) != sorted(ys):
         return None
     return x_order, y_order
 
 
-def _pair_spec(lob: Lobster, i: int) -> BalancedLobsterSpec | None:
-    """Balanced spec for the spinal pair (i, i+1), head at position i."""
-    xs = [br.leaf_count for br in lob.lobes[i]]
-    ys = [br.leaf_count for br in lob.lobes[i + 1]]
-    orders = _balanced_slot_values(xs, ys)
-    if orders is None:
-        return None
-    x_order, y_order = orders
-    spec = BalancedLobsterSpec(
-        tuple(x_order),
-        tuple(y_order),
-        len(lob.pendants[i]),
-        len(lob.pendants[i + 1]),
-    )
-    if violated_balance_equation(spec) is not None:
-        return None
-    return spec
+def _balanced_specs(lob: Lobster) -> list[BalancedLobsterSpec]:
+    """The balanced piece of each spinal pair (0, 1), (2, 3), ..., head first.
 
-
-def _pairwise_balanced(lob: Lobster) -> tuple[bool, bool]:
-    """(pairwise balanced, pairwise trivially balanced)."""
+    Raises ConstructionError when the spine is odd or some pair admits no
+    balanced branch ordering.
+    """
     r = lob.spine_length
     if r % 2 != 0:
-        return False, False
-    trivially = True
-    for i in range(0, r - 1, 2):
-        spec = _pair_spec(lob, i)
-        if spec is None:
-            return False, False
-        if not is_trivially_balanced(spec):
-            trivially = False
-    return True, trivially
+        raise ConstructionError(
+            f"pairwise balanced needs an even spine, got {r} spinal vertices"
+        )
+    specs = []
+    for i in range(0, r, 2):
+        orders = _balanced_slot_values(
+            [br.leaf_count for br in lob.lobes[i]],
+            [br.leaf_count for br in lob.lobes[i + 1]],
+        )
+        spec = None if orders is None else BalancedLobsterSpec(
+            *orders, len(lob.pendants[i]), len(lob.pendants[i + 1])
+        )
+        if spec is None or violated_balance_equation(spec) is not None:
+            raise ConstructionError(
+                f"spinal pair ({i}, {i + 1}) admits no balanced branch ordering"
+            )
+        specs.append(spec)
+    return specs
 
 
 def classify_lobster(
     lob: Lobster, budget: SearchBudget | None = None
 ) -> LobsterClassification:
-    """All class flags; flags that depend on spine direction try both."""
-    directions = [lob, lob.reversed()]
-    similar = any(_pairwise_similar(d) for d in directions)
-    isomorphic = any(_pairwise_isomorphic(d) for d in directions)
-    linked_pieces = None
-    for d in directions:
-        peeled = _peel_linked(d, budget)
-        if peeled is not None:
-            linked_pieces = tuple(piece for piece, _, _ in peeled)
-            break
-    balanced, trivially = _pairwise_balanced(lob)
+    """All class flags, each from the decider its route uses.
+
+    Flags that depend on spine direction try both.
+    """
+    try:
+        specs = _balanced_specs(lob)
+    except ConstructionError:
+        specs = None
+    isomorphic = _similar_direction(
+        lob, lambda d, i: (d.branch_leaf_counts(i), len(d.pendants[i]))
+    )
     return LobsterClassification(
-        pairwise_isomorphic=isomorphic,
-        pairwise_similar=similar,
+        pairwise_isomorphic=isomorphic is not None,
+        pairwise_similar=_similar_direction(lob) is not None,
         spinal_parity=spinal_parity(lob),
-        pairwise_linked=linked_pieces is not None,
-        linked_pieces=linked_pieces,
-        pairwise_balanced=balanced,
-        pairwise_trivially_balanced=trivially,
+        pairwise_linked=_linked_pieces(lob, budget) is not None,
+        pairwise_balanced=specs is not None,
+        pairwise_trivially_balanced=specs is not None
+        and all(map(is_trivially_balanced, specs)),
     )
 
 
@@ -715,26 +697,19 @@ def label_pairwise_linked(
     are merged max-into-max along the spine, and leftover pendants enter as
     fresh extreme rows of their part blocks.
     """
-    lob = lobster_decompose(t)
-    labeled = None
-    chosen = lob
-    for d in (lob, lob.reversed()):
-        labeled = _peel_linked(d, budget)
-        if labeled is not None:
-            chosen = d
-            break
-    if labeled is None:
+    found = _linked_pieces(lobster_decompose(t), budget)
+    if found is None:
         raise ConstructionError("no linked decomposition found")
-
-    _, head_g, head_f = labeled[0]
+    chosen, pieces = found
+    head_g, head_f = pieces[0]
     head_mat = _pendant_augmented_adjacency(head_g, head_f, len(chosen.pendants[0]))
     doubles = [
-        _pendant_augmented_double(g_i, f_i, len(chosen.pendants[i]), 0)
-        for i, (_, g_i, f_i) in enumerate(labeled[1:], start=1)
+        _pendant_augmented_double(g, f, len(chosen.pendants[i]), 0)
+        for i, (g, f) in enumerate(pieces[1:], start=1)
     ]
     matrix, _ = merge_chain_matrix(head_mat, doubles)
     return _certify_tree(
-        "pairwise-linked", CLAIM_BETA, matrix, t, None, {"pieces": len(labeled)}
+        "pairwise-linked", CLAIM_BETA, matrix, t, None, {"pieces": len(pieces)}
     )
 
 
@@ -789,12 +764,7 @@ def label_pairwise_similar(
     fix even branch counts before the lobes are labeled; the rest return
     through pendant insertions.
     """
-    lob = lobster_decompose(t)
-    chosen = None
-    for d in (lob, lob.reversed()):
-        if _pairwise_similar(d):
-            chosen = d
-            break
+    chosen = _similar_direction(lobster_decompose(t))
     if chosen is None:
         raise ConstructionError("lobster is not pairwise similar")
     parts, leftover = _similar_parts(chosen, budget)
@@ -826,21 +796,8 @@ def label_pairwise_balanced(t: Graph) -> Certificate:
     explicitly; the pieces chain critical-to-max, which recreates the spine.
     """
     lob = lobster_decompose(t)
-    r = lob.spine_length
-    if r % 2 != 0:
-        raise ConstructionError(
-            f"pairwise balanced needs an even spine, got {r} spinal vertices"
-        )
-    specs = []
-    role_maps = []
-    for i in range(0, r - 1, 2):
-        spec = _pair_spec(lob, i)
-        if spec is None:
-            raise ConstructionError(
-                f"spinal pair ({i}, {i + 1}) admits no balanced branch ordering"
-            )
-        specs.append(spec)
-        role_maps.append(_assign_pair_roles(lob, i, spec))
+    specs = _balanced_specs(lob)
+    role_maps = [_assign_pair_roles(lob, 2 * p, spec) for p, spec in enumerate(specs)]
     matrix, landed = chain_km_matrix(
         [canonical_biadjacency(*balanced_lobster_graph(spec)) for spec in specs]
     )
@@ -929,7 +886,6 @@ def label_lobster_auto(
     similar, exhaustive search within the budget.  The first verified
     certificate wins; otherwise a report lists each route's failure.
     """
-    require_tree(t)
     kind = classify_tree(t)
     if kind not in (SINGLE_VERTEX, PATH, CATERPILLAR, LOBSTER):
         raise GraphStructureError("tree is deeper than a lobster")

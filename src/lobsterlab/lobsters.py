@@ -4,25 +4,19 @@ A lobster is cut into an ordered spine, a lobe at each spinal vertex made of
 branches (a branch center adjacent to the spinal vertex plus its leaves), and
 pendant vertices hanging directly off spinal vertices.  Reassembling the
 parts reproduces the source tree's edge set exactly.
+
+The spine comes from the same leaf stripping that classifies the tree
+(graphs.strip_levels): it is the base of the base walked from its
+smaller-id end, else the base (a single vertex or K2), else vertex 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import GraphStructureError
-from .graphs import (
-    CATERPILLAR,
-    LOBSTER,
-    PATH,
-    SINGLE_VERTEX,
-    Graph,
-    base_with_map,
-    build_graph,
-    classify_tree,
-    diameter_path,
-    require_tree,
-)
+from .graphs import Graph, build_graph, require_tree, strip_levels
 
 
 @dataclass(frozen=True)
@@ -129,62 +123,40 @@ def edge_set_of(lob: Lobster) -> frozenset[tuple[int, int]]:
     return frozenset(edges)
 
 
-def _choose_spine(t: Graph) -> list[int]:
-    """Spinal vertex ids of t, in path order.
-
-    The spine is the base of the base when that is non-degenerate; otherwise
-    a deterministic maximal path of the base, the base's single vertex, or
-    (for K1/K2) a single vertex of t itself.
-    """
-    b, b_ids = base_with_map(t)
-    if b.num_vertices == 0:
-        return [min(t.vertices())]
-    if b.num_vertices == 1:
-        return [b_ids[0]]
-    bb, bb_ids = base_with_map(b)
-    if bb.num_vertices == 0:
-        path = diameter_path(b)
-        return [b_ids[v] for v in path]
-    if bb.num_vertices == 1:
-        return [b_ids[bb_ids[0]]]
-    path = diameter_path(bb)
-    return [b_ids[bb_ids[v]] for v in path]
-
-
 def lobster_decompose(t: Graph) -> Lobster:
-    """Decompose a path/caterpillar/lobster into spine, lobes and pendants."""
+    """Decompose a path/caterpillar/lobster into spine, lobes and pendants.
+
+    The spine is the base of the base walked from its smaller-id end, else
+    the base, else vertex 0.
+    """
     require_tree(t)
-    kind = classify_tree(t)
-    if kind not in (SINGLE_VERTEX, PATH, CATERPILLAR, LOBSTER):
+    _, b, bb = islice(strip_levels(t), 3)
+    if any(d > 2 for d in bb.values()):
         raise GraphStructureError("tree is deeper than a lobster")
 
-    spine = _choose_spine(t)
+    path = bb or b
+    spine = [min(v for v, d in path.items() if d <= 1)] if path else [0]
+    while len(spine) < len(path):
+        spine.append(
+            next(w for w in t.neighbors(spine[-1]) if w in path and w not in spine[-2:])
+        )
     on_spine = set(spine)
     pos = {v: i for i, v in enumerate(spine)}
 
     lobes: list[list[Branch]] = [[] for _ in spine]
     pendants: list[list[int]] = [[] for _ in spine]
-    claimed = set(on_spine)
-
+    # the stripping puts every vertex within 2 of the spine, so the
+    # vertices two steps off it are leaves; the edge-set check below
+    # re-confirms that the parts cover the tree
     for v in spine:
         for u in t.neighbors(v):
             if u in on_spine:
                 continue
             leaves = tuple(sorted(w for w in t.neighbors(u) if w != v))
-            for leaf in leaves:
-                if t.degree(leaf) != 1 or leaf in on_spine:
-                    raise GraphStructureError(
-                        f"vertex {leaf} is deeper than 2 below the spine"
-                    )
             if leaves:
                 lobes[pos[v]].append(Branch(u, leaves))
             else:
                 pendants[pos[v]].append(u)
-            claimed.add(u)
-            claimed.update(leaves)
-
-    if len(claimed) != t.num_vertices:
-        raise GraphStructureError("tree has vertices unreachable from the spine")
 
     lobes_sorted = tuple(
         tuple(sorted(lobe, key=lambda br: (br.leaf_count, br.center)))

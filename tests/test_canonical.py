@@ -50,6 +50,23 @@ def test_non_tree_rejected():
     square = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(GraphStructureError):
         tree_isomorphic(square, square)
+    # a non-tree raises even where the sizes alone would answer no
+    for t1, t2 in ((square, path_graph(3)), (path_graph(3), square)):
+        with pytest.raises(GraphStructureError):
+            tree_isomorphic(t1, t2)
+        with pytest.raises(GraphStructureError):
+            isomorphism_map(t1, t2)
+    # n - 1 edges but not connected, and the empty graph
+    triangle_and_vertex = build_graph(4, [(0, 1), (1, 2), (0, 2)])
+    for g in (square, triangle_and_vertex, build_graph(0, [])):
+        for call in (
+            lambda: centroids(g),
+            lambda: rooted_code(g, 0),
+            lambda: rooted_isomorphism_map(g, 0, g, 0),
+            lambda: tree_isomorphic(g, path_graph(4)),
+        ):
+            with pytest.raises(GraphStructureError):
+                call()
 
 
 def test_relabeled_trees_isomorphic():

@@ -168,6 +168,32 @@ class TestChainMm:
         assert cert.critical == 8 + 8 + 1
 
 
+
+@pytest.mark.parametrize(
+    "op, name, sizes, refused",
+    [
+        (chain_join_km, "chain-km", [1, 2], None),  # K1 first: P3
+        (chain_join_km, "chain-km", [2, 1], 1),
+        (chain_join_km, "chain-km", [1, 1], 1),
+        (chain_join_km, "chain-km", [2, 1, 2], 1),
+        (chain_join_mm, "chain-mm", [1, 2], 0),
+        (chain_join_mm, "chain-mm", [2, 1], 1),
+        (chain_join_mm, "chain-mm", [1, 1], 0),
+    ],
+)
+def test_chain_join_seam_at_an_edgeless_part(op, name, sizes, refused):
+    # K1's one vertex is a row of its block (a column once transposed), so a
+    # seam that needs its column (row) cannot be placed
+    k1_part = (build_graph(1, []), beta_labeling({0: 0}))
+    parts = [k1_part if n == 1 else k2_part() for n in sizes]
+    if refused is None:
+        g = op(parts).result_graph
+        assert classify_tree(g) == "path" and g.num_vertices == sum(sizes)
+    else:
+        with pytest.raises(ConstructionError, match=f"^{name}: part {refused} has no edge"):
+            op(parts)
+
+
 class TestChainWithCopies:
     def test_two_k2(self):
         cert = chain_with_copies([k2_part(), k2_part()])

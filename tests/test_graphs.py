@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lobsterlab.errors import GraphStructureError
@@ -139,6 +141,48 @@ class TestClassify:
                 if b.num_vertices == 0:
                     continue
                 assert order[classify_tree(b)] >= order[classify_tree(t)] - 1
+
+    def test_stripping_matches_base_definition(self):
+        # classify_tree and lobster_decompose strip leaves in place; the
+        # paper's definition builds each base as a graph (base_with_map)
+        from lobsterlab.lobsters import lobster_decompose
+        from lobsterlab.search import enumerate_trees
+
+        def path_or_smaller(g):
+            return g.num_vertices <= 1 or (
+                is_tree(g) and all(g.degree(v) <= 2 for v in g.vertices())
+            )
+
+        rng = random.Random(9)
+        trees = [t for n in range(1, 11) for t in enumerate_trees(n)]
+        for n in rng.choices(range(11, 41), k=300):
+            # random recursive trees: most are deeper than lobsters
+            trees.append(build_graph(n, [(v, rng.randrange(v)) for v in range(1, n)]))
+        for t in trees:
+            ids = list(range(t.num_vertices))
+            rng.shuffle(ids)
+            t = build_graph(t.num_vertices, [(ids[u], ids[v]) for u, v in t.edges])
+            b, b_ids = base_with_map(t)
+            bb, bb_ids = base_with_map(b) if b.num_vertices else (b, ())
+            if t.num_vertices == 1:
+                kind = SINGLE_VERTEX
+            elif path_or_smaller(t):
+                kind = PATH
+            elif path_or_smaller(b):
+                kind = CATERPILLAR
+            else:
+                kind = LOBSTER if path_or_smaller(bb) else DEEPER
+            assert classify_tree(t) == kind
+            if kind == DEEPER:
+                with pytest.raises(GraphStructureError, match="deeper than a lobster"):
+                    lobster_decompose(t)
+                continue
+            spine = lobster_decompose(t).spine
+            kept = [b_ids[v] for v in bb_ids] or list(b_ids) or [0]
+            assert sorted(spine) == sorted(kept)
+            # a path of t, walked from its smaller-id end
+            assert all(t.has_edge(u, v) for u, v in zip(spine, spine[1:]))
+            assert spine[0] <= spine[-1]
 
 
 class TestDiameter:
