@@ -12,7 +12,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def random_balanced_spec(
-    rng: random.Random, max_r: int = 16, max_leaf: int = 9
+    rng: random.Random, max_r: int = 16, max_leaf: int = 9, min_r: int = 0
 ) -> BalancedLobsterSpec:
     """A random spec satisfying the balance equations by construction.
 
@@ -20,7 +20,7 @@ def random_balanced_spec(
     odd slots across sides; one free value per coupled component spans the
     whole solution set.
     """
-    r = rng.randint(0, max_r)
+    r = rng.randint(min_r, max_r)
 
     def odd_part(n: int) -> int:
         while n % 2 == 0:

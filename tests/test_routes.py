@@ -106,10 +106,12 @@ def _linked(rng: random.Random) -> list:
     return lobes
 
 
-def _balanced(rng: random.Random) -> list:
+def _balanced(
+    rng: random.Random, pairs: int = 2, min_r: int = 0, max_r: int = 4, max_leaf: int = 3
+) -> list:
     lobes = []
-    for _ in range(rng.randint(1, 2)):
-        spec = random_balanced_spec(rng, max_r=4, max_leaf=3)
+    for _ in range(rng.randint(1, pairs)):
+        spec = random_balanced_spec(rng, max_r=max_r, max_leaf=max_leaf, min_r=min_r)
         lobes.append((list(spec.head_leaves), spec.head_pendants))
         lobes.append((list(spec.tail_leaves), spec.tail_pendants))
     return lobes
@@ -119,16 +121,25 @@ def _mixed(rng: random.Random) -> list:
     return [(_branches(rng, 0, 2), rng.randint(0, 2)) for _ in range(rng.randint(2, 5))]
 
 
+def _large_balanced(rng: random.Random) -> list:
+    """Chains of up to four balanced pairs with 8-40 branches a side and up
+    to 9 leaves a branch, so equal branches (ties in the layout) abound."""
+    return _balanced(rng, pairs=4, min_r=8, max_r=40, max_leaf=9)
+
+
 FAMILIES = {"similar": _similar, "linked": _linked, "balanced": _balanced, "mixed": _mixed}
 PER_FAMILY = 60
+LARGE_FAMILIES = {"balanced-large": _large_balanced}
+PER_LARGE_FAMILY = 20
 
 
 def lobster_cases():
     """(case id, tree) for every seeded lobster that is a proper lobster."""
-    for family, make in FAMILIES.items():
-        rng = random.Random(f"routes-{family}")
-        for i in range(PER_FAMILY):
-            yield f"{family}-{i}", _tree(rng, make(rng))
+    for families, per_family in ((FAMILIES, PER_FAMILY), (LARGE_FAMILIES, PER_LARGE_FAMILY)):
+        for family, make in families.items():
+            rng = random.Random(f"routes-{family}")
+            for i in range(per_family):
+                yield f"{family}-{i}", _tree(rng, make(rng))
 
 
 def _caterpillar(rng: random.Random, n: int):
