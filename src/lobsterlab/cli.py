@@ -12,6 +12,7 @@ subcommands to JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -338,7 +339,9 @@ def cmd_export_dot(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; main reuses it."""
     parser = argparse.ArgumentParser(
         prog="lobsterlab",
         description="graceful and alpha labelings of trees and lobsters",
@@ -412,9 +415,8 @@ def _add_budget_args(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:

@@ -12,14 +12,14 @@ placed by offsetting its ones, so assembly costs the number of edges, not
 the grid's area.  Dense rows appear only when `formats.print_matrix` or
 `LabeledMatrix.grid` renders them.
 
-Every assembler also returns where each block's slots landed, as a map
-from the block's slot ids to result ids (the antidiagonal stack in
-`_antidiagonal`, the copy chain, the merge chain).  Every vertex and copy
-map of the propositions here, and of the balanced lobster route, is read
-from those landing maps, so the block layout is the only place that knows
+A block enters a grid only through `_GridBuilder.place`, which returns
+where the block's slots landed, as a map from its slot ids to result ids;
+the assemblers (`_antidiagonal`, the copy chain, the merge chain) hand
+those maps on.  Every vertex and copy map of the propositions here, and of
+the balanced lobster route, is read from a landing map (`double`, which
+places nothing, keeps the identity), so `place` is the only code that knows
 which part vertex becomes which result vertex.  The linked and similar
-lobster routes need no landing maps: they certify through a tree
-isomorphism between the input and the assembled result.
+lobster routes certify through a tree isomorphism instead.
 
 Copies are implicit in several compositions: reading a symmetric adjacency
 grid as a biadjacency block splits a connected bipartite part into the two
@@ -30,6 +30,7 @@ That is why those operations insist on bipartite inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstructionError
@@ -153,11 +154,18 @@ def _check_embedding(construction: str, part: Graph, vmap: Mapping[int, int], re
 
 
 class _GridBuilder:
-    """The occupied cells of a grid under assembly; no cell is set twice."""
+    """The occupied cells of a grid under assembly; no cell is set twice.
 
-    def __init__(self, rows: int, cols: int) -> None:
+    A square adjacency grid (cols None) gives row i and column i the result
+    id i; a biadjacency grid numbers its columns after its rows, as
+    to_biadjacency does.  place is the one way a block enters a grid, and
+    the map it returns is the only record of where the block's vertices went.
+    """
+
+    def __init__(self, rows: int, cols: int | None = None) -> None:
         self.rows = rows
-        self.cols = cols
+        self.cols = rows if cols is None else cols
+        self.col_ids = 0 if cols is None else rows
         self.ones: set[Cell] = set()
 
     def set(self, i: int, j: int) -> None:
@@ -165,26 +173,35 @@ class _GridBuilder:
             raise ConstructionError(f"grid cell ({i}, {j}) assembled twice")
         self.ones.add((i, j))
 
-    def place(self, cells: Iterable[Cell], r0: int, c0: int) -> None:
-        for i, j in sorted(cells):
-            self.set(r0 + i, c0 + j)
+    def place(
+        self, block: LabeledMatrix, r0: int, c0: int, rotated: bool = False, mirror: bool = False
+    ) -> dict[int, int]:
+        """Set block's ones with its first row on r0 and its first column on
+        c0 (its last ones, when turned 180 degrees); return where its slots
+        landed, as slot id -> result id.
 
-    def put(
-        self, block: LabeledMatrix, where: Mapping[int, int], mirror: bool = False
-    ) -> None:
-        """Set each 1 of block where its slots landed (ids are positions here).
-
-        mirror also sets the transposed cell, for a biadjacency block read
+        mirror also sets each transposed cell, for a biadjacency block read
         into an adjacency grid.
         """
-        rows = [where[vid] for vid, _ in block.row_slots]
-        cols = [where[vid] for vid, _ in block.col_slots]
+        rows = [r0 + i for i in range(block.num_rows)]
+        cols = [c0 + j for j in range(block.num_cols)]
+        if rotated:
+            rows.reverse()
+            cols.reverse()
         for t, u in sorted(block.ones):
             self.set(rows[t], cols[u])
             if mirror:
                 self.set(cols[u], rows[t])
+        where = {vid: rows[i] for i, (vid, _) in enumerate(block.row_slots)}
+        where.update(
+            (vid, self.col_ids + cols[j]) for j, (vid, _) in enumerate(block.col_slots)
+        )
+        return where
 
-    def to_biadjacency(self, critical: int) -> LabeledMatrix:
+    def to_biadjacency(self) -> LabeledMatrix:
+        """The grid with the last row's label as its critical value, or 0
+        when it has no rows (a transposed K1), as verify_alpha reads K1."""
+        critical = max(self.rows - 1, 0)
         row_slots = tuple((i, i) for i in range(self.rows))
         col_slots = tuple((self.rows + j, self.rows + j) for j in range(self.cols))
         return LabeledMatrix(
@@ -228,33 +245,27 @@ def _require_bipartite(construction: str, parts: Sequence[Part]) -> None:
 
 
 def double_matrix(g: Graph, f: Labeling, at_label: int) -> LabeledMatrix:
-    """Biadjacency of the double: the padded adjacency grid plus one corner 1.
+    """Biadjacency of the double: the part's cover block plus one corner 1.
 
-    Rows carry labels 0..m (one copy's worth of slots), columns m+1..2m+1;
-    the extra 1 at (at_label, at_label) joins the two copies.
+    The extra 1 at (at_label, at_label) joins the two copies.
     """
     if at_label not in set(f.assignment.values()):
         raise ConstructionError(f"double: label {at_label} is unused")
-    adj = canonical_adjacency(g, f)
+    return _cover_block(g, f, {(at_label, at_label)})
+
+
+def _cover_block(g: Graph, f: Labeling, extra: Iterable[Cell] = ()) -> LabeledMatrix:
+    """The part's padded adjacency grid read as a biadjacency block.
+
+    Rows carry labels 0..m (one copy's worth of slots), columns m+1..2m+1,
+    so label lab sits on row slot lab and on column slot m+1+lab; extra
+    cells are added to the grid's ones.
+    """
     m = g.num_edges
     row_slots = tuple((i, i) for i in range(m + 1))
     col_slots = tuple((m + 1 + j, m + 1 + j) for j in range(m + 1))
-    return LabeledMatrix(
-        BIADJACENCY, adj.ones | {(at_label, at_label)}, row_slots, col_slots, m
-    )
-
-
-def _landed(
-    block: LabeledMatrix, r0: int, c0: int, rotated: bool = False
-) -> dict[int, int]:
-    """Slot id -> result id for a block whose first row landed on r0 and
-    first column on c0 (its last ones, when it was turned 180 degrees)."""
-    rows, cols = block.row_slots, block.col_slots
-    if rotated:
-        rows, cols = rows[::-1], cols[::-1]
-    where = {vid: r0 + i for i, (vid, _) in enumerate(rows)}
-    where.update((vid, c0 + j) for j, (vid, _) in enumerate(cols))
-    return where
+    ones = canonical_adjacency(g, f).ones | frozenset(extra)
+    return LabeledMatrix(BIADJACENCY, ones, row_slots, col_slots, m)
 
 
 def _double_cover_maps(
@@ -262,11 +273,11 @@ def _double_cover_maps(
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Original/copy maps when the padded adjacency grid acts as biadjacency.
 
-    where says where the slots of the part's double_matrix landed: label
-    lab sits on row slot lab and on column slot m+1+lab.  The original is
-    the cover component containing the row slot of the anchor label; per
-    connected component the side is fixed by its smallest vertex when the
-    anchor lies elsewhere.
+    where says where the slots of the part's cover block (or double_matrix)
+    landed: label lab sits on row slot lab and on column slot m+1+lab.  The
+    original is the cover component containing the row slot of the anchor
+    label; per connected component the side is fixed by its smallest vertex
+    when the anchor lies elsewhere.
     """
     m = g.num_edges
     colors = _part_colors(g)
@@ -299,7 +310,8 @@ def double(part: Part, at_label: int) -> Certificate:
     _require_bipartite("double", [part])
     m = g.num_edges
     matrix = double_matrix(g, f, at_label)
-    orig, copy = _double_cover_maps(g, f, at_label, _landed(matrix, 0, m + 1))
+    identity = {vid: vid for vid, _ in matrix.row_slots + matrix.col_slots}
+    orig, copy = _double_cover_maps(g, f, at_label, identity)
     cert = _certify(
         "double",
         CLAIM_COMPLETE_ALPHA,
@@ -383,8 +395,7 @@ def _antidiagonal(
     r0 = 0
     for mat in mats:
         c0 -= mat.num_cols
-        builder.place(mat.ones, r0, c0)
-        landed.append(_landed(mat, r0, total_r + c0))
+        landed.append(builder.place(mat, r0, c0))
         corners.append((r0 + mat.num_rows - 1, c0 + mat.num_cols - 1))
         r0 += mat.num_rows
     for a, b in seams:
@@ -394,7 +405,7 @@ def _antidiagonal(
                 "to join at a seam"
             )
         builder.set(corners[a][0], corners[b][1])
-    return builder.to_biadjacency(total_r - 1), landed
+    return builder.to_biadjacency(), landed
 
 
 def chain_km_matrix(
@@ -471,10 +482,11 @@ def chain_join_mm(parts: Sequence[Part], mode: str = MODE_ALTERNATING) -> Certif
         landed,
         details={"mode": mode},
     )
-    # transposed blocks contribute the complement critical m - k - 1; with
-    # symmetric spreads (m - k = k + 1) this collapses to sum(k) + r - 1
+    # transposed blocks contribute the complement critical m - k - 1 (0 for
+    # a lone K1); with symmetric spreads (m - k = k + 1) this collapses to
+    # sum(k) + r - 1
     effective = [
-        sizes[i] - criticals[i] - 1 if i % 2 == 0 else criticals[i]
+        max(sizes[i] - criticals[i] - 1, 0) if i % 2 == 0 else criticals[i]
         for i in range(len(parts))
     ]
     if cert.critical != sum(effective) + len(parts) - 1:
@@ -496,10 +508,8 @@ def copy_chain_matrix(
     """
     rh, nt = chain.num_rows, tail.num_rows
     n = rh + nt + chain.num_cols
-    builder = _GridBuilder(n, n)
-    landed = [_landed(chain, 0, rh + nt), _landed(tail, rh, rh)]
-    builder.put(chain, landed[0], mirror=True)
-    builder.put(tail, landed[1])
+    builder = _GridBuilder(n)
+    landed = [builder.place(chain, 0, rh + nt, mirror=True), builder.place(tail, rh, rh)]
     builder.set(rh - 1, rh + nt - 1)
     builder.set(rh + nt - 1, rh - 1)
     return builder.to_adjacency(), landed
@@ -544,10 +554,10 @@ def chain_with_copies(parts: Sequence[Part]) -> Certificate:
 def star_join(parts: Sequence[Part]) -> Certificate:
     """A new hub vertex adjacent to every part's maximum and every copy's.
 
-    Parts 1..r-1 contribute themselves plus a copy (one rotated adjacency
-    block used as a cover biadjacency); the last part sits alone in the
-    middle; the hub takes the very last row and column, hence the maximum
-    label.  All parts must share one edge count.
+    Each part's cover block enters turned 180 degrees.  Parts 1..r-1 read
+    it as a cover biadjacency, so each contributes itself plus a copy; the
+    last part sits alone in the middle; the hub takes the very last row and
+    column, hence the maximum label.  All parts must share one edge count.
     """
     if not parts:
         raise ConstructionError("star-join: needs at least one part")
@@ -562,38 +572,22 @@ def star_join(parts: Sequence[Part]) -> Certificate:
     r = len(parts)
     span = m + 1
     n = (2 * r - 1) * span + 1
-    builder = _GridBuilder(n, n)
-
-    def rotated(g: Graph, f: Labeling) -> list[Cell]:
-        return [(m - i, m - j) for i, j in canonical_adjacency(g, f).ones]
-
+    builder = _GridBuilder(n)
     hub = n - 1
     vertex_maps: list[dict[int, int]] = []
     copy_maps: list[dict[int, int]] = []
-    for i, (g, f) in enumerate(parts[:-1], start=1):
-        block = rotated(g, f)
-        r0 = (i - 1) * span
-        c0 = n - 1 - i * span
-        builder.place(block, r0, c0)
-        builder.place(block, c0, r0)
-        # the rotated block in double_matrix slot ids: row label lab on
-        # r0 + m - lab, column label lab (slot span + lab) on c0 + m - lab
-        where = {lab: r0 + m - lab for lab in range(span)}
-        where.update((span + lab, c0 + m - lab) for lab in range(span))
+    for i, (g, f) in enumerate(parts):
+        alone = i == r - 1  # its rows and its columns land on the middle span
+        where = builder.place(
+            _cover_block(g, f), i * span, hub - (i + 1) * span,
+            rotated=True, mirror=not alone,
+        )
         orig, copy = _double_cover_maps(g, f, m, where)
         vertex_maps.append(orig)
-        copy_maps.append(copy)
-        builder.set(r0, hub)
-        builder.set(hub, r0)
-        builder.set(c0, hub)
-        builder.set(hub, c0)
-    g_last, f_last = parts[-1]
-    mid = (r - 1) * span
-    builder.place(rotated(g_last, f_last), mid, mid)
-    vertex_maps.append({v: mid + (m - lab) for v, lab in f_last.assignment.items()})
-    copy_maps.append({})
-    builder.set(mid, hub)
-    builder.set(hub, mid)
+        copy_maps.append({} if alone else copy)
+        for top in {where[m], where[span + m]}:  # the maxima of the part and its copy
+            builder.set(top, hub)
+            builder.set(hub, top)
     cert = _certify(
         "star-join",
         CLAIM_BETA,
@@ -663,35 +657,23 @@ def attach_at_vertices(
             )
         isos.append(mapping)
 
-    offsets = []
-    acc = 0
-    for s in sizes:
-        offsets.append(acc)
-        acc += s + 1
-    n = acc
-    builder = _GridBuilder(n, n)
-    for i in range(r + 1):
-        c = min(i, r - i)
-        gc, fc = parts[c]
-        builder.place(canonical_adjacency(gc, fc).ones, offsets[i], offsets[r - i])
+    offsets = list(accumulate((s + 1 for s in sizes), initial=0))
+    builder = _GridBuilder(offsets[-1])
+    vertex_maps = []
+    tops = []
+    for i, (g, _) in enumerate(parts):
+        # part i reads the block of parts[c] as a cover whose rows landed
+        # at offsets[i] and whose columns at offsets[r - i]
+        gc, fc = parts[min(i, r - i)]
+        where = builder.place(_cover_block(gc, fc), offsets[i], offsets[r - i])
+        orig, _ = _double_cover_maps(gc, fc, gc.num_edges, where)
+        vertex_maps.append({v: orig[isos[i][v]] for v in g.vertices()})
+        tops.append(where[gc.num_edges])  # where part i's maximum landed
     for u, v in hg.edges:
         i, j = hf.assignment[u], hf.assignment[v]
-        builder.set(offsets[i] + sizes[i], offsets[j] + sizes[j])
-        builder.set(offsets[j] + sizes[j], offsets[i] + sizes[i])
-
-    vertex_maps = []
-    for i, (g, _) in enumerate(parts):
-        gc, fc = parts[min(i, r - i)]
-        mc = gc.num_edges
-        # part i reads the shared block as a cover whose row slots landed
-        # at offsets[i] and whose column slots at offsets[r - i]
-        where = {lab: offsets[i] + lab for lab in range(mc + 1)}
-        where.update((mc + 1 + lab, offsets[r - i] + lab) for lab in range(mc + 1))
-        orig, _ = _double_cover_maps(gc, fc, mc, where)
-        vertex_maps.append({v: orig[isos[i][v]] for v in g.vertices()})
-    h_map = {
-        v: offsets[hf.assignment[v]] + sizes[hf.assignment[v]] for v in hg.vertices()
-    }
+        builder.set(tops[i], tops[j])
+        builder.set(tops[j], tops[i])
+    h_map = {v: tops[hf.assignment[v]] for v in hg.vertices()}
     cert = _certify(
         "attach",
         CLAIM_BETA,
@@ -747,16 +729,12 @@ def merge_chain_matrix(
     for i in range(2, r + 1):
         right_start[i] = pos
         pos += flanks[i][1] - (1 if i % 2 == 0 and i < r else 0)
-    builder = _GridBuilder(pos, pos)
-    landed = [_landed(head, center_start, center_start, rotated=True)]
-    builder.put(head, landed[0])
+    builder = _GridBuilder(pos)
+    landed = [builder.place(head, center_start, center_start, rotated=True)]
     for i, d in enumerate(doubles, start=2):
-        if i % 2 == 0:
-            where = _landed(d, left_start[i], right_start[i])
-        else:
-            where = _landed(d, right_start[i], left_start[i], rotated=True)
-        builder.put(d, where, mirror=True)
-        landed.append(where)
+        upright = i % 2 == 0
+        r0, c0 = (left_start[i], right_start[i]) if upright else (right_start[i], left_start[i])
+        landed.append(builder.place(d, r0, c0, rotated=not upright, mirror=True))
     return builder.to_adjacency(), landed
 
 

@@ -29,15 +29,16 @@ Which slot an input vertex lands in does not matter to a certificate of
 the input tree, only that the assembled tree is isomorphic to it.  So the
 linked and similar routes build their grids and take the id map from one
 tree isomorphism between the input and the result, both rooted at
-centroids (canonical.isomorphism_map).  The balanced route reads its map
-off the chain's landing maps through each piece's vertex roles, and the
-sweep and search label the input itself.
+centroids (canonical.isomorphism_map).  The balanced route lays each
+spinal pair out as its piece, so an input vertex goes where its label in
+the piece landed in the chain; the sweep and search label the input itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Callable, Sequence
 
 from .errors import ConstructionError, GraphStructureError
@@ -208,67 +209,56 @@ def balanced_sum_identity(
     return left, right
 
 
-HEAD = ("head",)
-TAIL = ("tail",)
+def _balanced_piece(
+    head: int,
+    tail: int,
+    head_pendants: Sequence[int],
+    tail_pendants: Sequence[int],
+    head_branches: Sequence[Branch],
+    tail_branches: Sequence[Branch],
+) -> tuple[Part, dict[int, int]]:
+    """A spinal pair laid out as its balanced piece, branches in spec order.
 
-
-def balanced_layout(
-    spec: BalancedLobsterSpec,
-) -> tuple[list[tuple], list[tuple]]:
-    """Row and column vertex roles in label order for the piece's grid.
-
-    Rows run: head pendants, then head centers interleaved with tail
-    leaves (center indices descending), ending at the tail vertex; columns
-    mirror this with the roles swapped, ending at the head vertex.
+    Rows run: head pendants, then head centers (last branch first)
+    interleaved with the tail branches' leaves, ending at the tail vertex;
+    columns mirror this with the sides swapped, ending at the head vertex.
+    Returns the piece, with vertex ids equal to its complete alpha labels,
+    and each given vertex's label.
     """
-    r = spec.branches_per_side
-    rows: list[tuple] = [("head-pendant", t) for t in range(1, spec.head_pendants + 1)]
-    for j in range(1, r + 1):
-        rows.append(("head-center", r - j + 1))
-        rows.extend(("tail-leaf", j, t) for t in range(1, spec.tail_leaves[j - 1] + 1))
-    rows.append(TAIL)
-    cols: list[tuple] = [("tail-pendant", t) for t in range(1, spec.tail_pendants + 1)]
-    for j in range(1, r + 1):
-        cols.append(("tail-center", r - j + 1))
-        cols.extend(("head-leaf", j, t) for t in range(1, spec.head_leaves[j - 1] + 1))
-    cols.append(HEAD)
-    return rows, cols
-
-
-def balanced_piece_edges(spec: BalancedLobsterSpec) -> list[tuple[tuple, tuple]]:
-    """Edges of the piece in role terms."""
-    r = spec.branches_per_side
-    edges: list[tuple[tuple, tuple]] = [(HEAD, TAIL)]
-    for t in range(1, spec.head_pendants + 1):
-        edges.append((HEAD, ("head-pendant", t)))
-    for t in range(1, spec.tail_pendants + 1):
-        edges.append((TAIL, ("tail-pendant", t)))
-    for j in range(1, r + 1):
-        edges.append((HEAD, ("head-center", j)))
-        edges.append((TAIL, ("tail-center", j)))
-        for t in range(1, spec.head_leaves[j - 1] + 1):
-            edges.append((("head-center", j), ("head-leaf", j, t)))
-        for t in range(1, spec.tail_leaves[j - 1] + 1):
-            edges.append((("tail-center", j), ("tail-leaf", j, t)))
-    return edges
-
-
-def balanced_role_labels(spec: BalancedLobsterSpec) -> dict[tuple, int]:
-    rows, cols = balanced_layout(spec)
-    labels = {role: i for i, role in enumerate(rows)}
-    labels.update({role: len(rows) + j for j, role in enumerate(cols)})
-    return labels
+    order: list[int] = []
+    for pendants, centers, leaves, last in (
+        (head_pendants, head_branches, tail_branches, tail),
+        (tail_pendants, tail_branches, head_branches, head),
+    ):
+        order += pendants
+        for near, far in zip(reversed(centers), leaves):
+            order.append(near.center)
+            order += far.leaves
+        order.append(last)
+    label = {v: i for i, v in enumerate(order)}
+    edges = [(head, tail)]
+    edges += [(head, p) for p in head_pendants] + [(tail, p) for p in tail_pendants]
+    for hb, tb in zip(head_branches, tail_branches):
+        edges += [(head, hb.center), (tail, tb.center)]
+        edges += [(hb.center, leaf) for leaf in hb.leaves]
+        edges += [(tb.center, leaf) for leaf in tb.leaves]
+    g = build_graph(len(order), [(label[a], label[b]) for a, b in edges])
+    return (g, Labeling({v: v for v in g.vertices()}, ALPHA, label[tail])), label
 
 
 def balanced_lobster_graph(spec: BalancedLobsterSpec) -> tuple[Graph, Labeling]:
     """The concrete piece with ids equal to the construction's labels."""
-    labels = balanced_role_labels(spec)
-    edges = [
-        (labels[a], labels[b]) for a, b in balanced_piece_edges(spec)
-    ]
-    g = build_graph(len(labels), edges)
-    k = spec.expected_critical
-    return g, Labeling({v: v for v in g.vertices()}, ALPHA, k)
+    ids = count()
+
+    def branches(leaf_counts: Sequence[int]) -> list[Branch]:
+        return [Branch(next(ids), tuple(islice(ids, c))) for c in leaf_counts]
+
+    piece, _ = _balanced_piece(
+        next(ids), next(ids),
+        list(islice(ids, spec.head_pendants)), list(islice(ids, spec.tail_pendants)),
+        branches(spec.head_leaves), branches(spec.tail_leaves),
+    )
+    return piece
 
 
 def label_balanced_lobster(spec: BalancedLobsterSpec) -> Certificate:
@@ -797,15 +787,25 @@ def label_pairwise_balanced(t: Graph) -> Certificate:
     """
     lob = lobster_decompose(t)
     specs = _balanced_specs(lob)
-    role_maps = [_assign_pair_roles(lob, 2 * p, spec) for p, spec in enumerate(specs)]
-    matrix, landed = chain_km_matrix(
-        [canonical_biadjacency(*balanced_lobster_graph(spec)) for spec in specs]
-    )
-    input_map: dict[int, int] = {}
-    for spec, role_of, where in zip(specs, role_maps, landed):
-        # a piece's vertex ids are its labels (balanced_lobster_graph)
-        labels = balanced_role_labels(spec)
-        input_map.update((v, where[labels[role]]) for v, role in role_of.items())
+
+    def in_spec_order(lobe: Sequence[Branch], leaf_counts: Sequence[int]) -> list[Branch]:
+        # lobster_decompose sorts a lobe by (leaf count, center), so equal
+        # branches take the slots of their count in center order
+        pool = {c: iter([br for br in lobe if br.leaf_count == c]) for c in set(leaf_counts)}
+        return [next(pool[c]) for c in leaf_counts]
+
+    pieces = [
+        _balanced_piece(
+            lob.spine[i], lob.spine[i + 1], lob.pendants[i], lob.pendants[i + 1],
+            in_spec_order(lob.lobes[i], spec.head_leaves),
+            in_spec_order(lob.lobes[i + 1], spec.tail_leaves),
+        )
+        for i, spec in zip(range(0, lob.spine_length, 2), specs)
+    ]
+    matrix, landed = chain_km_matrix([canonical_biadjacency(*part) for part, _ in pieces])
+    input_map = {
+        v: where[lab] for (_, label), where in zip(pieces, landed) for v, lab in label.items()
+    }
     return _certify_tree(
         "pairwise-balanced",
         CLAIM_COMPLETE_ALPHA,
@@ -814,34 +814,6 @@ def label_pairwise_balanced(t: Graph) -> Certificate:
         input_map,
         {"pieces": len(specs)},
     )
-
-
-def _assign_pair_roles(
-    lob: Lobster, i: int, spec: BalancedLobsterSpec
-) -> dict[int, tuple]:
-    """Concrete vertex -> role assignment for the pair at positions i, i+1."""
-    role_of: dict[int, tuple] = {
-        lob.spine[i]: HEAD,
-        lob.spine[i + 1]: TAIL,
-    }
-    for t_idx, pend in enumerate(sorted(lob.pendants[i]), start=1):
-        role_of[pend] = ("head-pendant", t_idx)
-    for t_idx, pend in enumerate(sorted(lob.pendants[i + 1]), start=1):
-        role_of[pend] = ("tail-pendant", t_idx)
-
-    def take(lobe, required, side, leaf_role):
-        pool: dict[int, list[Branch]] = {}
-        for br in sorted(lobe, key=lambda b: (b.leaf_count, b.center)):
-            pool.setdefault(br.leaf_count, []).append(br)
-        for j, count in enumerate(required, start=1):
-            br = pool[count].pop(0)
-            role_of[br.center] = (side, j)
-            for t_idx, leaf in enumerate(sorted(br.leaves), start=1):
-                role_of[leaf] = (leaf_role, j, t_idx)
-
-    take(lob.lobes[i], spec.head_leaves, "head-center", "head-leaf")
-    take(lob.lobes[i + 1], spec.tail_leaves, "tail-center", "tail-leaf")
-    return role_of
 
 
 # -- the dispatcher ----------------------------------------------------------------
@@ -862,8 +834,10 @@ def label_by_search(t: Graph, budget: SearchBudget) -> Certificate | SearchResul
     """Certificate of the first labeling exhaustive search finds.
 
     Returns the search result itself when the search finds none, so its
-    status says whether it was exhausted or ran out of budget.
+    status says whether it was exhausted or ran out of budget.  A non-tree
+    is refused before any search, as the other routes refuse it.
     """
+    require_tree(t)
     res = brute_force_graceful(t, budget)
     if res.status != FOUND:
         return res

@@ -194,6 +194,24 @@ def test_chain_join_seam_at_an_edgeless_part(op, name, sizes, refused):
             op(parts)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        chain_join_km,
+        chain_join_mm,
+        lambda parts: chain_join_mm(parts, "all_m"),
+        disjoint_union_alpha,
+    ],
+    ids=["chain-km", "chain-mm", "chain-mm-all_m", "disjoint-union"],
+)
+def test_chain_of_a_lone_edgeless_part(op):
+    # a lone K1 needs no seam; chain-mm transposes it into a grid with no
+    # rows, whose critical is still K1's 0
+    cert = op([(build_graph(1, []), beta_labeling({0: 0}))])
+    assert cert.result_graph.num_vertices == 1 and cert.critical == 0
+    assert cert.vertex_maps == ({0: 0},)
+
+
 class TestChainWithCopies:
     def test_two_k2(self):
         cert = chain_with_copies([k2_part(), k2_part()])

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, fixture_text
+import lobsterlab
 from lobsterlab import formats
 from lobsterlab.cli import main
 from lobsterlab.errors import FormatError
@@ -289,6 +294,47 @@ class TestCli:
         first = capsys.readouterr().out
         self.run("classify", str(workdir / "tree9.edges"))
         assert capsys.readouterr().out == first
+
+
+def _run_and_report(argv: list[str], out: Path, fresh: bool, capsys) -> tuple:
+    """Exit code, stdout and whether out was written, of one CLI run: in a
+    fresh interpreter, or by main in this process."""
+    shutil.rmtree(out, ignore_errors=True)
+    if fresh:
+        env = {**os.environ, "PYTHONPATH": str(Path(lobsterlab.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "lobsterlab.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        code, stdout = done.returncode, done.stdout
+    else:
+        code, stdout = main(argv), capsys.readouterr().out
+    return code, stdout, out.exists()
+
+
+def test_main_calls_in_one_process_match_fresh_runs(workdir, capsys):
+    """main reuses one parser; no option of an earlier call leaks into a later one."""
+    edges = str(workdir / "tree9.edges")
+    out = workdir / "cert"
+    for argv in (
+        ["--format", "json", "classify", edges],
+        ["classify", edges],
+        ["label", edges, "--out", str(out)],
+        ["label", edges],
+    ):
+        fresh = _run_and_report(argv, out, True, capsys)
+        assert _run_and_report(argv, out, False, capsys) == fresh, argv
+
+
+@pytest.mark.parametrize("strategy", ["auto", "balanced", "linked", "similar", "search"])
+@pytest.mark.parametrize(
+    "edges", ["4 4\n0 1\n1 2\n2 3\n3 0\n", "3 1\n0 1\n"], ids=["C4", "forest"]
+)
+def test_label_refuses_a_non_tree(tmp_path, capsys, strategy, edges):
+    path = tmp_path / "g.edges"
+    path.write_text(edges)
+    assert main(["label", str(path), "--strategy", strategy]) == 1
+    assert capsys.readouterr().out == "error input is not a tree\n"
 
 
 class TestCliBoundary:
