@@ -70,6 +70,21 @@ def complete_graph(n):
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def complete_bipartite(a, b):
+    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+# Graphs whose later vertices meet several placed neighbours in the search
+# order, so the snapshot reaches that path as well as the trees' one-edge one.
+NON_TREES = {
+    **{f"C{n}": cycle_graph(n) for n in range(3, 9)},
+    "K4": complete_graph(4),
+    "K2,3": complete_bipartite(2, 3),
+    "C4 with two pendants": build_graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5)]),
+    "C3 and K2": build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+}
+
+
 class TestBruteForceGraceful:
     def test_k2(self):
         res = brute_force_graceful(build_graph(2, [(0, 1)]))
@@ -191,7 +206,7 @@ def _labels(res):
 
 
 def _search_snapshot() -> dict:
-    """What the four searches return on every small tree and on capped runs."""
+    """What the four searches return on small trees and graphs and on capped runs."""
     trees = []
     for n in range(1, 10):
         for t in enumerate_trees(n):
@@ -206,6 +221,33 @@ def _search_snapshot() -> dict:
                 "pinned": [pinned.status, _labels(pinned)],
                 "count": count_graceful_labelings(t) if n <= 8 else None,
             })
+    pinned = []
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            m = t.num_edges
+            one = search_graceful_with_fixed(t, {0: m})
+            row = {"edges": t.sorted_edges(), "one_pin": [one.status, one.nodes]}
+            if n > 1:
+                # the second pin sits on a neighbour of the first
+                pins = {0: m, t.neighbors(0)[-1]: 0}
+                two = search_graceful_with_fixed(t, pins)
+                row["two_pins"] = [sorted(pins.items()), two.status, two.nodes,
+                                   _labels(two)]
+            pinned.append(row)
+    non_trees = []
+    for name, g in NON_TREES.items():
+        graceful = brute_force_graceful(g)
+        alpha = brute_force_alpha(g)
+        one = search_graceful_with_fixed(g, {0: g.num_edges})
+        non_trees.append({
+            "name": name,
+            "edges": g.sorted_edges(),
+            "graceful": [graceful.status, graceful.nodes, _labels(graceful)],
+            "alpha": [alpha.status, alpha.nodes, _labels(alpha),
+                      alpha.labeling and alpha.labeling.critical],
+            "pinned": [one.status, one.nodes, _labels(one)],
+            "count": count_graceful_labelings(g),
+        })
     rng = random.Random(5)
     capped = SearchBudget(max_vertices=16, max_nodes=10_000)
     random_trees = []
@@ -219,7 +261,9 @@ def _search_snapshot() -> dict:
             "graceful": [graceful.status, graceful.nodes],
             "alpha": [alpha.status, alpha.nodes],
         })
-    return {"trees": trees, "random_trees": random_trees}
+    # new sections go before "random_trees" so a re-recording only adds rows
+    return {"trees": trees, "pinned": pinned, "non_trees": non_trees,
+            "random_trees": random_trees}
 
 
 def test_search_matches_recording():
