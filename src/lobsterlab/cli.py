@@ -319,11 +319,12 @@ def cmd_search(args) -> int:
         return OK
     res = brute_force_alpha(g, budget) if args.alpha else brute_force_graceful(g, budget)
     if res.status == FOUND:
-        payload = {"status": res.status, "labeling": dict(res.labeling.items())}
+        payload = {"status": res.status, "nodes": res.nodes,
+                   "labeling": dict(res.labeling.items())}
         text = "found\n" + formats.print_labeling(res.labeling).rstrip("\n")
         _emit(args, payload, text)
         return OK
-    _emit(args, {"status": res.status}, res.status)
+    _emit(args, {"status": res.status, "nodes": res.nodes}, res.status)
     return NEGATIVE if res.status == EXHAUSTED else VERIFICATION
 
 

@@ -11,14 +11,16 @@ so results are deterministic.  Each vertex gets a label window:
   tried downwards, on the high side, with symmetry cuts;
 - count: 0..m with no cuts, since it counts labelings as functions.
 Duplicate vertex and edge labels are pruned.  Tick rule: a used label is
-skipped for free, every other label tried costs one node of the budget.
+skipped for free, every other label tried costs one node of the budget;
+the search stops once nodes exceed max_nodes (leaving max_nodes + 1) or,
+read at every 4096th node, the time limit has passed.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import GraphStructureError
@@ -58,15 +60,7 @@ class _Clock:
     deadline: float
     max_nodes: int
     nodes: int = 0
-    expired: bool = field(default=False)
-
-    def tick(self) -> bool:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            self.expired = True
-        elif self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            self.expired = True
-        return not self.expired
+    expired: bool = False
 
 
 def _vertex_order(g: Graph) -> list[int]:
@@ -114,17 +108,18 @@ def _vertex_order(g: Graph) -> list[int]:
     return order
 
 
-def _symmetry_groups(g: Graph) -> dict[int, list[int]]:
+def _symmetry_groups(g: Graph, order: list[int]) -> dict[int, list[int]]:
     """Interchangeable-sibling groups: members can be permuted WLOG.
 
-    In a tree rooted at the search order's seed, children of one parent with
-    isomorphic hanging subtrees are swappable by an automorphism, so the
-    existence searches may force a canonical label order on the subtree
-    roots.  Non-trees fall back to pendant leaves sharing a parent, which is
-    an automorphism in any graph.  Counting stays unpruned.
+    In a tree rooted at the search order's seed order[0], children of one
+    parent with isomorphic hanging subtrees are swappable by an
+    automorphism, so the existence searches may force a canonical label
+    order on the subtree roots.  Non-trees fall back to pendant leaves
+    sharing a parent, which is an automorphism in any graph.  Counting
+    stays unpruned.
     """
     if is_tree(g):
-        children, code = rooted_codes(g, _vertex_order(g)[0])
+        children, code = rooted_codes(g, order[0])
         out: dict[int, list[int]] = {}
         for p in g.vertices():
             by_code: dict[str, list[int]] = {}
@@ -157,60 +152,79 @@ def _backtrack(
     """The one search: label `order` depth-first within per-vertex windows.
 
     Vertex v tries the labels windows[v] = (lo, hi, descending) allows,
-    narrowed by its placed symmetry-group siblings.  A used label is skipped
-    before the clock ticks, so a node is one label actually tried.  Returns
-    how many complete labelings were reached (at most one unless counting)
-    and the first of them; the caller reads clock.expired for a budget stop.
+    narrowed by its placed symmetry-group siblings.  A table built once per
+    call lists each depth's earlier-placed neighbours and siblings, and a
+    vertex with one placed neighbour (each tree vertex after the first)
+    checks a single difference.  Nodes are counted in a local under the
+    module's tick rule and written back to the shared clock.  Returns how
+    many complete labelings were reached (at most one unless counting) and
+    the first of them; the caller reads clock.expired for a budget stop.
     """
-    m = g.num_edges
-    assignment: dict[int, int] = {}
-    used_labels = [False] * (m + 1)
-    used_edges = [False] * (m + 1)
+    pos = {v: i for i, v in enumerate(order)}
+    steps = []
+    for i, v in enumerate(order):
+        # placed siblings take labels in member order along the window
+        sibs = [(w, (w < v) != windows[v][2]) for w in groups.get(v, ()) if pos[w] < i]
+        steps.append((v, tuple(w for w in g.neighbors(v) if pos[w] < i), sibs))
+    label = [0] * g.num_vertices
+    used_labels = [False] * (g.num_edges + 1)
+    used_edges = [False] * (g.num_edges + 1)
+    nodes, max_nodes, deadline = clock.nodes, clock.max_nodes, clock.deadline
     found = 0
     first: dict[int, int] | None = None
 
     def rec(depth: int) -> bool:
         """Place order[depth:]; True means stop (found, or out of budget)."""
-        nonlocal found, first
-        if depth == len(order):
+        nonlocal found, first, nodes
+        if depth == len(steps):
             found += 1
             if first is None:
-                first = dict(assignment)
+                first = {v: label[v] for v in order}
             return not count
-        v = order[depth]
+        v, nbrs, sibs = steps[depth]
         lo, hi, descending = windows[v]
-        for w in groups.get(v, ()):
-            if w in assignment:
-                # siblings take labels in member order along the window
-                if (w < v) != descending:
-                    lo = max(lo, assignment[w] + 1)
-                else:
-                    hi = min(hi, assignment[w] - 1)
+        for w, raises_lo in sibs:
+            if raises_lo:
+                lo = max(lo, label[w] + 1)
+            else:
+                hi = min(hi, label[w] - 1)
+        one = label[nbrs[0]] if len(nbrs) == 1 else None
         for lab in range(hi, lo - 1, -1) if descending else range(lo, hi + 1):
             if used_labels[lab]:
                 continue
-            if not clock.tick():
+            nodes += 1
+            if nodes > max_nodes or not nodes % 4096 and time.monotonic() > deadline:
+                clock.expired = True
                 return True
-            touched = []
-            for w in g.neighbors(v):
-                if w in assignment:
-                    d = abs(lab - assignment[w])
-                    if d == 0 or used_edges[d]:
-                        break
-                    used_edges[d] = True
-                    touched.append(d)
-            else:
-                used_labels[lab] = True
-                assignment[v] = lab
+            if one is not None:
+                d = lab - one if lab > one else one - lab
+                if used_edges[d]:
+                    continue
+                used_edges[d] = used_labels[lab] = True
+                label[v] = lab
                 if rec(depth + 1):
                     return True
-                del assignment[v]
+                used_edges[d] = used_labels[lab] = False
+                continue
+            touched = []
+            for w in nbrs:
+                d = abs(lab - label[w])
+                if used_edges[d]:
+                    break
+                used_edges[d] = True
+                touched.append(d)
+            else:
+                used_labels[lab] = True
+                label[v] = lab
+                if rec(depth + 1):
+                    return True
                 used_labels[lab] = False
             for d in touched:
                 used_edges[d] = False
         return False
 
     rec(0)
+    clock.nodes = nodes
     return found, first
 
 
@@ -249,7 +263,7 @@ def brute_force_graceful(g: Graph, budget: SearchBudget | None = None) -> Search
     windows = [(0, m, False)] * g.num_vertices
     windows[order[0]] = (0, m // 2, False)
     clock = _new_clock(budget)
-    _, first = _backtrack(g, order, clock, windows, _symmetry_groups(g))
+    _, first = _backtrack(g, order, clock, windows, _symmetry_groups(g, order))
     return _result(first, clock)
 
 
@@ -301,7 +315,7 @@ def brute_force_alpha(g: Graph, budget: SearchBudget | None = None) -> SearchRes
         return SearchResult(BUDGET_EXCEEDED)
     order = _vertex_order(g)
     clock = _new_clock(budget)
-    groups = _symmetry_groups(g)
+    groups = _symmetry_groups(g, order)
     for low_side in parts:
         for k in range(m + 1):
             if len(low_side) > k + 1 or g.num_vertices - len(low_side) > m - k:

@@ -20,7 +20,12 @@ from lobsterlab.cli import main
 from lobsterlab.errors import FormatError
 from lobsterlab.graphs import build_graph
 from lobsterlab.labelings import alpha_labeling, beta_labeling
-from lobsterlab.search import enumerate_trees
+from lobsterlab.search import (
+    SearchBudget,
+    brute_force_alpha,
+    brute_force_graceful,
+    enumerate_trees,
+)
 
 
 class TestEdgeCodec:
@@ -237,6 +242,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "fail search budget exceeded\n"
+
+    @pytest.mark.parametrize("alpha", [False, True])
+    @pytest.mark.parametrize("graph, budget", [
+        ("tree9.edges", []),
+        ("tree9.edges", ["--budget-nodes", "5"]),
+        ("c5.edges", []),
+    ])
+    def test_search_json_reports_nodes(self, workdir, capsys, graph, budget, alpha):
+        (workdir / "c5.edges").write_text("5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+        path = str(workdir / graph)
+        flags = ["--alpha"] if alpha else []
+        self.run("--format", "json", "search", path, *flags, *budget)
+        payload = json.loads(capsys.readouterr().out)
+        g = formats.parse_edges((workdir / graph).read_text())
+        search = brute_force_alpha if alpha else brute_force_graceful
+        res = search(g, SearchBudget(max_nodes=int(budget[1])) if budget else None)
+        assert (payload["status"], payload["nodes"]) == (res.status, res.nodes)
 
     def test_classify_text(self, workdir, capsys):
         code = self.run("classify", str(workdir / "tree9.edges"))

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lobsterlab.canonical import free_code
 from lobsterlab.errors import GraphStructureError
@@ -24,6 +25,7 @@ from lobsterlab.labelings import verify_alpha, verify_beta
 from lobsterlab.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
+    FOUND,
     SearchBudget,
     brute_force_alpha,
     brute_force_graceful,
@@ -48,14 +50,19 @@ def count_trees_via_prufer(n):
     return len(codes)
 
 
-def permutation_count(g):
-    """Graceful labelings counted by trying every injection into 0..m."""
+def graceful_injections(g):
+    """Every injection into 0..m (a tuple indexed by vertex) that is graceful."""
     m = g.num_edges
     edges = list(g.edges)
-    return sum(
-        len({abs(f[u] - f[v]) for u, v in edges}) == m
-        for f in itertools.permutations(range(m + 1), g.num_vertices)
+    return (
+        f for f in itertools.permutations(range(m + 1), g.num_vertices)
+        if len({abs(f[u] - f[v]) for u, v in edges}) == m
     )
+
+
+def permutation_count(g):
+    """Graceful labelings counted by trying every injection into 0..m."""
+    return sum(1 for _ in graceful_injections(g))
 
 
 def path_graph(n):
@@ -86,6 +93,13 @@ NON_TREES = {
 
 
 class TestBruteForceGraceful:
+    def test_empty_graph(self):
+        empty = build_graph(0, [])
+        for res in (brute_force_graceful(empty), brute_force_alpha(empty),
+                    search_graceful_with_fixed(empty, {})):
+            assert res and res.labeling.assignment == {} and res.nodes == 0
+        assert count_graceful_labelings(empty) == 1
+
     def test_k2(self):
         res = brute_force_graceful(build_graph(2, [(0, 1)]))
         assert res and set(res.labeling.assignment.values()) == {0, 1}
@@ -133,6 +147,57 @@ class TestBruteForceGraceful:
         a = brute_force_graceful(tree9)
         b = brute_force_graceful(tree9)
         assert a.labeling.assignment == b.labeling.assignment
+
+
+@st.composite
+def pinned_graphs(draw):
+    """A graph with n <= 6 and n - 1 <= m <= 8, up to three pins labeled in 0..m.
+
+    With m >= n - 1 the search has room for every vertex, so it never
+    stops at its vertex-count pre-check; the edges may still leave it
+    disconnected.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1,
+                          max_size=8)) if pairs else []
+    g = build_graph(n, edges)
+    pinned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3))
+    return g, {v: draw(st.integers(0, g.num_edges)) for v in pinned}
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinned_graphs())
+@example((cycle_graph(5), {}))
+@example((cycle_graph(4), {0: 4, 2: 0}))
+@example((complete_graph(4), {0: 0, 1: 6}))
+@example((build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), {4: 3}))
+@example((NON_TREES["C3 and K2"], {3: 4}))
+def test_pinned_search_agrees_with_permutation_oracle(case):
+    g, fixed = case
+    res = search_graceful_with_fixed(g, fixed)
+    expected = any(
+        all(f[v] == lab for v, lab in fixed.items()) for f in graceful_injections(g)
+    )
+    assert res.status == (FOUND if expected else EXHAUSTED)
+    if res:
+        assert verify_beta(g, res.labeling)
+        assert all(res.labeling.assignment[v] == lab for v, lab in fixed.items())
+
+
+class TestTimeLimit:
+    # needs 12 726 graceful and 4 772 alpha nodes (over every (side, k) run)
+    SLOW = build_graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (5, 8), (6, 9)])
+
+    @pytest.mark.parametrize("search", [brute_force_graceful, brute_force_alpha])
+    def test_clock_read_at_node_4096_ends_the_search(self, search):
+        res = search(self.SLOW, SearchBudget(max_nodes=10**9, time_limit=1e-9))
+        assert (res.status, res.nodes) == (BUDGET_EXCEEDED, 4096)
+
+    @pytest.mark.parametrize("search", [brute_force_graceful, brute_force_alpha])
+    def test_no_clock_read_before_node_4096(self, search):
+        res = search(path_graph(6), SearchBudget(time_limit=1e-9))
+        assert res and res.nodes < 4096
 
 
 class TestBruteForceAlpha:
