@@ -318,13 +318,13 @@ def cmd_search(args) -> int:
         _emit(args, {"count": n}, f"count {n}")
         return OK
     res = brute_force_alpha(g, budget) if args.alpha else brute_force_graceful(g, budget)
+    payload = {"status": res.status, "nodes": res.nodes}
     if res.status == FOUND:
-        payload = {"status": res.status, "nodes": res.nodes,
-                   "labeling": dict(res.labeling.items())}
+        payload["labeling"] = dict(res.labeling.items())
         text = "found\n" + formats.print_labeling(res.labeling).rstrip("\n")
         _emit(args, payload, text)
         return OK
-    _emit(args, {"status": res.status, "nodes": res.nodes}, res.status)
+    _emit(args, payload, res.status)
     return NEGATIVE if res.status == EXHAUSTED else VERIFICATION
 
 

@@ -111,12 +111,11 @@ def _vertex_order(g: Graph) -> list[int]:
 def _symmetry_groups(g: Graph, order: list[int]) -> dict[int, list[int]]:
     """Interchangeable-sibling groups: members can be permuted WLOG.
 
-    In a tree rooted at the search order's seed order[0], children of one
-    parent with isomorphic hanging subtrees are swappable by an
-    automorphism, so the existence searches may force a canonical label
-    order on the subtree roots.  Non-trees fall back to pendant leaves
-    sharing a parent, which is an automorphism in any graph.  Counting
-    stays unpruned.
+    In a tree rooted at the order's seed order[0], children of one parent with
+    isomorphic hanging subtrees are swappable by an automorphism, so the
+    existence searches may force a canonical label order on the subtree
+    roots.  Non-trees fall back to pendant leaves sharing a parent, which is
+    an automorphism in any graph.  Counting stays unpruned.
     """
     if is_tree(g):
         children, code = rooted_codes(g, order[0])

@@ -187,7 +187,9 @@ def test_pinned_search_agrees_with_permutation_oracle(case):
 
 class TestTimeLimit:
     # needs 12 726 graceful and 4 772 alpha nodes (over every (side, k) run)
-    SLOW = build_graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (5, 8), (6, 9)])
+    SLOW = build_graph(
+        10, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (5, 8), (6, 9)]
+    )
 
     @pytest.mark.parametrize("search", [brute_force_graceful, brute_force_alpha])
     def test_clock_read_at_node_4096_ends_the_search(self, search):
