@@ -3,11 +3,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lobsterlab.errors import LabelingInputError
 from lobsterlab.graphs import bipartition, build_graph
 from lobsterlab.labelings import (
+    ALPHA,
+    BETA,
     Labeling,
+    Verdict,
     alpha_labeling,
     augment_hat,
     beta_labeling,
@@ -141,3 +145,139 @@ class TestGridEquivalence:
         f = Labeling(swapped)
         assert not verify_beta(tree9, f)
         assert not is_graceful_grid(canonical_adjacency(tree9, f))
+
+
+# -- verdicts pinned against an ordered scan --------------------------------------
+
+
+def scan_beta(g, f, max_label=None):
+    """Reference: vertices in id order, then edges in sorted order; the first
+    offence found names the verdict."""
+    bound = g.num_edges if max_label is None else max_label
+    missing = [v for v in g.vertices() if v not in f.assignment]
+    if missing:
+        return Verdict(False, "unlabeled-vertex", f"vertex {missing[0]} has no label")
+    seen = {}
+    for v in g.vertices():
+        lab = f.assignment[v]
+        if not (0 <= lab <= bound):
+            return Verdict(
+                False, "label-out-of-range", f"vertex {v} labeled {lab} not in 0..{bound}"
+            )
+        if lab in seen:
+            return Verdict(
+                False, "duplicate-vertex-label", f"vertices {seen[lab]} and {v} share label {lab}"
+            )
+        seen[lab] = v
+    edge_seen = {}
+    for u, v in g.sorted_edges():
+        d = abs(f.assignment[u] - f.assignment[v])
+        if d in edge_seen:
+            return Verdict(
+                False,
+                "duplicate-edge-label",
+                f"edges {edge_seen[d]} and {(u, v)} both get edge label {d}",
+            )
+        edge_seen[d] = (u, v)
+    return Verdict(True)
+
+
+def scan_alpha(g, f, max_label=None):
+    """Reference: scan_beta, then k = the largest low end, then the first edge
+    in sorted order that k does not straddle, then the stored critical."""
+    beta = scan_beta(g, f, max_label)
+    if not beta:
+        return beta
+    k = max((min(f.assignment[u], f.assignment[v]) for u, v in g.edges), default=0)
+    for u, v in g.sorted_edges():
+        lo, hi = sorted((f.assignment[u], f.assignment[v]))
+        if not (lo <= k < hi):
+            return Verdict(
+                False,
+                "alpha-straddle",
+                f"edge ({u}, {v}) with labels ({lo}, {hi}) is not straddled by k={k}",
+            )
+    if f.critical is not None and f.critical != k:
+        return Verdict(
+            False,
+            "critical-mismatch",
+            f"labeling claims critical {f.critical} but the straddle value is {k}",
+        )
+    return Verdict(True, critical=k)
+
+
+FAULTS = (
+    "missing-vertex",
+    "extra-key",
+    "out-of-range",
+    "duplicate-label",
+    "duplicate-difference",
+    "moved-label",
+    "wrong-critical",
+)
+
+
+@st.composite
+def faulty_labelings(draw):
+    """A small graph (cycles, isolated vertices and no edges allowed), a
+    labeling that starts graceful or alpha where the search finds one, a few
+    injected faults, and max_label below, at or above m."""
+    from lobsterlab.search import brute_force_alpha, brute_force_graceful
+
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    fewest = min(draw(st.sampled_from([0, n - 1, n - 1])), len(pairs))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=fewest,
+                          max_size=8)) if pairs else []
+    g = build_graph(n, edges)
+    m = g.num_edges
+    max_label = draw(st.sampled_from([None, None, None, m, m - 1, m - 2, m + 1, m + 3]))
+    bound = m if max_label is None else max_label
+    found = (brute_force_alpha if draw(st.booleans()) else brute_force_graceful)(g)
+    base = draw(st.integers(0, 5))
+    critical = None
+    if found.labeling is not None and base <= 2:
+        labels = dict(found.labeling.assignment)
+        critical = found.labeling.critical
+    elif n <= bound + 1 and base <= 4:
+        labels = dict(enumerate(draw(st.permutations(range(bound + 1)))[:n]))
+    else:
+        values = draw(st.lists(st.integers(-1, bound + 1), min_size=n, max_size=n))
+        labels = dict(enumerate(values))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        v = draw(st.integers(0, n - 1)) if n else None
+        if fault == "extra-key":
+            labels[n + draw(st.integers(0, 2))] = draw(st.integers(-1, bound + 1))
+        elif fault == "wrong-critical":
+            critical = draw(st.integers(-1, bound + 1))
+        elif v is None or v not in labels:
+            continue
+        elif fault == "missing-vertex":
+            del labels[v]
+        elif fault == "out-of-range":
+            labels[v] = draw(st.sampled_from([-1, bound + 1, bound + 5]))
+        elif fault == "duplicate-label":
+            labels[v] = labels.get(draw(st.integers(0, n - 1)), labels[v])
+        elif fault == "moved-label":
+            labels[v] = draw(st.integers(0, max(bound, 0)))
+        elif fault == "duplicate-difference" and m >= 2:
+            (a, b), (c, d) = draw(st.lists(st.sampled_from(sorted(g.edges)),
+                                           min_size=2, max_size=2, unique=True))
+            if {a, b, c} <= labels.keys():
+                labels[d] = labels[c] + abs(labels[a] - labels[b])
+    kind = ALPHA if critical is not None or draw(st.booleans()) else BETA
+    return g, Labeling(labels, kind, critical), max_label
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_labelings())
+@example((build_graph(0, []), Labeling({}), None))
+@example((build_graph(1, []), Labeling({0: 0}, ALPHA, 1), None))
+@example((build_graph(2, [(0, 1)]), Labeling({0: 1}), None))
+@example((build_graph(3, [(0, 1), (1, 2), (0, 2)]), Labeling({0: 0, 1: 1, 2: 3}), None))
+@example((path_graph(3), Labeling({0: 0, 1: 2, 2: 1}), 1))
+@example((path_graph(3), Labeling({0: 1, 1: 0, 2: 2}, ALPHA, 1), 3))
+def test_verdicts_match_ordered_scan(case):
+    g, f, max_label = case
+    assert verify_beta(g, f, max_label) == scan_beta(g, f, max_label)
+    assert verify_alpha(g, f, max_label) == scan_alpha(g, f, max_label)

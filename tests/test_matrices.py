@@ -12,6 +12,7 @@ from lobsterlab.graphs import build_graph, is_tree
 from lobsterlab.labelings import Labeling, beta_labeling, verify_alpha
 from lobsterlab.lobster_labeling import label_caterpillar, label_lobster_auto
 from lobsterlab.matrices import (
+    BIADJACENCY,
     LabeledMatrix,
     box_value,
     canonical_adjacency,
@@ -48,6 +49,16 @@ def caterpillar(leaf_counts, seed):
             edges.append((ids[s], ids[leaf]))
         nxt += count
     return build_graph(n, edges)
+
+
+def dense_text(m):
+    """The matrix file written line by line from the dense `grid`."""
+    header = [m.kind, m.num_rows, m.num_cols]
+    if m.kind == BIADJACENCY:
+        header.append(m.critical)
+    lines = [" ".join(map(str, seq)) for seq in (header, m.row_labels, m.col_labels)]
+    lines += ["".join(map(str, row)) for row in m.grid]
+    return "\n".join(lines) + "\n"
 
 
 def named_by_label(g, f):
@@ -316,6 +327,14 @@ class TestCaterpillarMatrices:
             assert got_g == g
             assert dict(got_f.assignment) == dict(f.assignment)
             assert got_f.critical == f.critical
+        shown = [canonical_adjacency(g, f), m] + [transform(m, w) for w in ("R", "T", "RT")]
+        for grid in shown:
+            text = print_matrix(grid)
+            assert text == dense_text(grid)
+            assert print_matrix(parse_matrix(text)) == text
+        if g.num_vertices == 1:
+            assert print_matrix(m) == "biadjacency 1 0 0\n0\n\n\n"
+            assert print_matrix(transform(m, "T")) == "biadjacency 0 1 0\n\n0\n"
 
     def test_large_caterpillar_certifies_without_dense_grid(self, monkeypatch):
         def dense(self):
