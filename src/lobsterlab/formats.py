@@ -21,12 +21,13 @@ def print_edges(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines that are neither blank nor '#' comments."""
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+
+
 def parse_edges(text: str) -> Graph:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise FormatError("empty edge-list file")
     try:
@@ -60,11 +61,7 @@ def print_labeling(f: Labeling) -> str:
 
 
 def parse_labeling(text: str) -> Labeling:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines or not lines[0].startswith("kind "):
         raise FormatError("labeling file must start with a 'kind' line")
     kind = lines[0].split(maxsplit=1)[1]
@@ -100,20 +97,17 @@ def print_matrix(m: LabeledMatrix) -> str:
     header = f"{m.kind} {m.num_rows} {m.num_cols}"
     if m.kind == BIADJACENCY:
         header += f" {m.critical}"
-    lines = [
-        header,
-        " ".join(str(lab) for lab in m.row_labels),
-        " ".join(str(lab) for lab in m.col_labels),
-    ]
-    ones_by_row: list[list[int]] = [[] for _ in range(m.num_rows)]
+    head = "\n".join(
+        (header, " ".join(map(str, m.row_labels)), " ".join(map(str, m.col_labels)))
+    )
+    text = bytearray(head.encode() + b"\n")
+    start, width = len(text), m.num_cols + 1
+    # every dense row at once, all zeros, then each one set in place
+    text += (b"0" * m.num_cols + b"\n") * m.num_rows
+    one = ord("1")
     for i, j in m.ones:
-        ones_by_row[i].append(j)
-    for cols in ones_by_row:  # one dense row at a time
-        row = ["0"] * m.num_cols
-        for j in cols:
-            row[j] = "1"
-        lines.append("".join(row))
-    return "\n".join(lines) + "\n"
+        text[start + i * width + j] = one
+    return text.decode()
 
 
 def parse_matrix(text: str) -> LabeledMatrix:

@@ -9,6 +9,12 @@ caterpillar's base is a path, a lobster's base is a caterpillar.
 ``base`` builds the base as a graph of its own.  The classifier and the
 lobster decomposition need only its vertices and their degrees, so they
 strip leaves in place, one pass per level (``strip_levels``).
+
+A Graph is immutable, so it caches what it learns about itself: its
+adjacency, whether it is a tree and its tree class.  ``is_tree``,
+``require_tree``, ``classify_tree``, ``diameter_path`` and the lobster
+decomposition therefore share one connectivity BFS and one classification
+per graph.
 """
 
 from __future__ import annotations
@@ -63,6 +69,21 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
+    @cached_property
+    def _is_tree(self) -> bool:
+        n = self.num_vertices
+        return n >= 1 and self.num_edges == n - 1 and is_connected(self)
+
+    @cached_property
+    def _tree_class(self) -> str:
+        require_tree(self)
+        if self.num_vertices == 1:
+            return SINGLE_VERTEX
+        for kind, level in zip((PATH, CATERPILLAR, LOBSTER), strip_levels(self)):
+            if all(d <= 2 for d in level.values()):
+                return kind
+        return DEEPER
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
@@ -96,6 +117,7 @@ def build_graph(num_vertices: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def connected_components(g: Graph) -> list[list[int]]:
     seen = [False] * g.num_vertices
+    adjacency = g.adjacency
     comps: list[list[int]] = []
     for start in g.vertices():
         if seen[start]:
@@ -106,7 +128,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         while queue:
             v = queue.popleft()
             comp.append(v)
-            for w in g.neighbors(v):
+            for w in adjacency[v]:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
@@ -120,7 +142,7 @@ def is_connected(g: Graph) -> bool:
 
 def is_tree(g: Graph) -> bool:
     """True iff g is connected with exactly n-1 edges."""
-    return g.num_vertices >= 1 and g.num_edges == g.num_vertices - 1 and is_connected(g)
+    return g._is_tree
 
 
 def require_tree(g: Graph, what: str = "input") -> None:
@@ -153,19 +175,22 @@ def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
     return part0, part1
 
 
-def bfs_farthest(g: Graph, start: int) -> tuple[int, dict[int, int]]:
-    """Farthest vertex from start (smallest id on ties) and the parent map."""
-    dist = {start: 0}
-    parent: dict[int, int] = {}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
+def bfs_farthest(g: Graph, start: int) -> tuple[int, list[int]]:
+    """Farthest vertex from start (smallest id on ties) and the BFS parents."""
+    adjacency = g.adjacency
+    dist = [-1] * g.num_vertices
+    parent = [-1] * g.num_vertices
+    dist[start] = 0
+    queue = [start]
+    for v in queue:  # visits by distance, growing as it goes
+        d = dist[v] + 1
+        for w in adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = d
                 parent[w] = v
                 queue.append(w)
-    far = max(dist, key=lambda v: (dist[v], -v))
+    last = dist[queue[-1]]
+    far = min(v for v in queue if dist[v] == last)
     return far, parent
 
 
@@ -245,10 +270,4 @@ def classify_tree(t: Graph) -> str:
     t is a path, caterpillar or lobster when t, its base or the base of its
     base has no vertex of degree above 2 there.
     """
-    require_tree(t)
-    if t.num_vertices == 1:
-        return SINGLE_VERTEX
-    for kind, level in zip((PATH, CATERPILLAR, LOBSTER), strip_levels(t)):
-        if all(d <= 2 for d in level.values()):
-            return kind
-    return DEEPER
+    return t._tree_class

@@ -5,6 +5,12 @@ induced edge values |f(u)-f(v)| are pairwise distinct.  An alpha labeling
 additionally has a critical value k with min(f(u),f(v)) <= k < max(f(u),f(v))
 on every edge.  ``max_label`` widens the codomain beyond m for padded
 compositions (disjoint unions); the default is the strict bound m.
+
+Verification decides with unordered passes: the label range by min and max,
+distinct labels and distinct edge values by set sizes, the straddle by the
+largest low end against the smallest high end.  Only a labeling that fails
+is scanned in order (vertices by id, then edges sorted), so the verdict
+names the first offending vertex or edge.
 """
 
 from __future__ import annotations
@@ -113,6 +119,23 @@ def pad_labeling(g: Graph, f: Labeling, max_label: int | None = None) -> dict[in
 def verify_beta(g: Graph, f: Labeling, max_label: int | None = None) -> Verdict:
     """Check the graceful conditions; Verdict carries the failure reason."""
     bound = g.num_edges if max_label is None else max_label
+    a = f.assignment
+    try:
+        labels = [a[v] for v in g.vertices()]
+    except KeyError:
+        return _scan_beta(g, f, bound)
+    if labels and (
+        min(labels) < 0
+        or max(labels) > bound
+        or len(set(labels)) != len(labels)
+        or len({abs(labels[u] - labels[v]) for u, v in g.edges}) != g.num_edges
+    ):
+        return _scan_beta(g, f, bound)
+    return Verdict(True)
+
+
+def _scan_beta(g: Graph, f: Labeling, bound: int) -> Verdict:
+    """The ordered check: vertices by id, then edges in sorted order."""
     missing = [v for v in g.vertices() if v not in f.assignment]
     if missing:
         return _fail("unlabeled-vertex", f"vertex {missing[0]} has no label")
@@ -145,18 +168,20 @@ def verify_alpha(g: Graph, f: Labeling, max_label: int | None = None) -> Verdict
     beta = verify_beta(g, f, max_label)
     if not beta:
         return beta
-    k = max((min(f.assignment[u], f.assignment[v]) for u, v in g.edges), default=0)
-    for u, v in g.sorted_edges():
-        lo, hi = sorted((f.assignment[u], f.assignment[v]))
-        if not (lo <= k < hi):
-            return _fail(
-                "alpha-straddle",
-                f"edge ({u}, {v}) with labels ({lo}, {hi}) is not straddled by k={k}",
-            )
+    a = f.assignment
+    ends = [(a[u], a[v]) for u, v in g.edges]
+    k = max(map(min, ends), default=0)
+    if min(map(max, ends), default=k + 1) <= k:
+        for u, v in g.sorted_edges():
+            lo, hi = (a[u], a[v]) if a[u] < a[v] else (a[v], a[u])
+            if not (lo <= k < hi):
+                return _fail(
+                    "alpha-straddle",
+                    f"edge ({u}, {v}) with labels ({lo}, {hi}) is not straddled by k={k}",
+                )
     if f.critical is not None and f.critical != k:
         return _fail(
             "critical-mismatch",
             f"labeling claims critical {f.critical} but the straddle value is {k}",
         )
     return Verdict(True, critical=k)
-

@@ -227,8 +227,8 @@ def canonical_biadjacency(
     col_slots = tuple((by_label[lab], lab) for lab in range(k + 1, bound + 1))
     ones = set()
     for u, v in g.edges:
-        lo, hi = sorted((assignment[u], assignment[v]))
-        ones.add((lo, hi - (k + 1)))
+        a, b = assignment[u], assignment[v]
+        ones.add((a, b - (k + 1)) if a < b else (b, a - (k + 1)))
     return LabeledMatrix(BIADJACENCY, frozenset(ones), row_slots, col_slots, k)
 
 

@@ -77,6 +77,24 @@ class TestIsTree:
         assert not is_tree(g2)
 
 
+class TestCachedFacts:
+    def test_filled_cache_keeps_equality_and_hash(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        assert is_tree(g) and classify_tree(g) == CATERPILLAR
+        assert diameter_path(g) == [0, 1, 2, 3]
+        fresh = build_graph(5, [(2, 4), (3, 2), (1, 2), (0, 1)])
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh)
+        assert {fresh: "tree"}[g] == "tree"
+
+    def test_non_tree_refused_every_time(self):
+        c4 = cycle_graph(4)
+        for _ in range(2):
+            assert not is_tree(c4)
+            with pytest.raises(GraphStructureError):
+                classify_tree(c4)
+
+
 class TestBase:
     def test_star_collapses_to_center(self):
         b, ids = base_with_map(star_graph(4))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text, random_balanced_spec
 from lobsterlab.errors import ConstructionError, GraphStructureError
+from lobsterlab import graphs
 from lobsterlab.formats import print_matrix
 from lobsterlab.graphs import build_graph, is_tree, tree_diameter
 from lobsterlab.labelings import verify_alpha, verify_beta
@@ -437,6 +438,27 @@ class TestAutoDispatcher:
         cert = label_lobster_auto(t)
         assert cert.construction == "pairwise-linked"
         assert verify_beta(cert.result_graph, cert.result_labeling)
+
+    @pytest.mark.parametrize("route", ["caterpillar-sweep", "pairwise-balanced"])
+    def test_one_connectivity_check_per_graph(self, monkeypatch, lobster26_matrix, route):
+        # is_tree, classify_tree, diameter_path and lobster_decompose all
+        # need the tree check; the Graph caches it, so its BFS runs once
+        if route == "caterpillar-sweep":
+            t = make_lobster([([], 2), ([], 0), ([], 3), ([], 1)])
+        else:
+            t, _ = matrix_to_graph(lobster26_matrix)
+        checked = []
+
+        def counted(g):
+            checked.append(g)
+            return components(g)
+
+        components = graphs.connected_components
+        monkeypatch.setattr(graphs, "connected_components", counted)
+        cert = label_lobster_auto(t)
+        assert cert.construction == route
+        assert sum(g is t for g in checked) == 1
+        assert all(sum(g is h for h in checked) == 1 for g in checked)
 
     def test_deeper_tree_rejected(self):
         legs = build_graph(
