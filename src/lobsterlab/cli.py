@@ -24,14 +24,12 @@ from .graphs import DEEPER, classify_tree
 from .labelings import verify_alpha, verify_beta
 from .lobsters import lobster_decompose
 from .lobster_labeling import (
+    ROUTES,
     CoverageReport,
     LobsterClassification,
     classify_lobster,
     label_by_search,
     label_lobster_auto,
-    label_pairwise_balanced,
-    label_pairwise_linked,
-    label_pairwise_similar,
 )
 from .matrices import canonical_adjacency, canonical_biadjacency, matrix_to_graph, shift_ones, transform
 from .search import (
@@ -192,17 +190,14 @@ def cmd_label(args) -> int:
     try:
         if strategy == "auto":
             result = label_lobster_auto(g, budget)
-        elif strategy == "balanced":
-            result = label_pairwise_balanced(g)
-        elif strategy == "linked":
-            result = label_pairwise_linked(g, budget)
-        elif strategy == "similar":
-            result = label_pairwise_similar(g, budget)
-        else:  # search
+        elif strategy == "search":
             result = label_by_search(g, budget)
             if isinstance(result, SearchResult):
                 _emit(args, {"status": result.status}, result.status)
                 return NEGATIVE if result.status == EXHAUSTED else VERIFICATION
+        else:
+            _, route = ROUTES[strategy]
+            result = route(g, budget)
     except LobsterLabError as exc:
         _emit(args, {"error": str(exc)}, f"error {exc}")
         return NEGATIVE
@@ -365,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument(
         "--strategy",
-        choices=["auto", "balanced", "linked", "similar", "search"],
+        choices=["auto", *ROUTES, "search"],
         default="auto",
     )
     p.add_argument("--out")

@@ -767,6 +767,11 @@ def merge_join_chain(parts: Sequence[Part]) -> Certificate:
 
 
 # -- gluing and pendant insertion ---------------------------------------------------
+#
+# A pendant enters as a new row or column holding a single 1 (an adjacency
+# grid: a mirrored pair).  _insert_pendants inserts any number at one index
+# and checks the diagonals once; insert_pendant_* insert one, and the lobster
+# routes insert a side's leftover pendants as one block on its maximum.
 
 
 def glue(a: Part, b: Part) -> Graph:
@@ -788,6 +793,45 @@ def glue(a: Part, b: Part) -> Graph:
     return build_graph(ga.num_vertices + gb.num_vertices - 1, edges)
 
 
+def _insert_pendants(
+    construction: str, m: LabeledMatrix, count: int, at: int, target: int, columns: bool
+) -> LabeledMatrix:
+    """Insert count pendants at index at, each a single 1 on index target.
+
+    A biadjacency grid takes new rows on column target (columns: new
+    columns on row target), an adjacency grid mirrored row and column pairs
+    (columns ignored).  The new slots get the ids count single insertions
+    would give, the newest at index at; labels follow positions.
+    """
+    pair = m.kind == ADJACENCY
+    dr = count if pair or not columns else 0
+    dc = count if pair or columns else 0
+    base = m.num_rows + (0 if pair else m.num_cols)
+    fresh = range(base + count - 1, base - 1, -1)
+    rows, cols = [v for v, _ in m.row_slots], [v for v, _ in m.col_slots]
+
+    def moved(k: int, shift: int) -> int:
+        return k + shift if k >= at else k
+
+    ones = {(moved(i, dr), moved(j, dc)) for i, j in m.ones}
+    if dr:
+        rows[at:at] = fresh
+        ones.update((k, moved(target, dc)) for k in range(at, at + count))
+    if dc:
+        cols[at:at] = fresh
+        ones.update((moved(target, dr), k) for k in range(at, at + count))
+    row_slots = tuple((v, i) for i, v in enumerate(rows))
+    if pair:
+        out = LabeledMatrix(ADJACENCY, frozenset(ones), row_slots, row_slots)
+    else:
+        col_slots = tuple((v, len(rows) + j) for j, v in enumerate(cols))
+        out = LabeledMatrix(BIADJACENCY, frozenset(ones), row_slots, col_slots, m.critical + dr)
+    verdict = is_completely_graceful(out)
+    if not verdict:
+        raise ConstructionError(f"{construction}: diagonal {verdict.first_violation} violated")
+    return out
+
+
 def insert_pendant_row(
     m: LabeledMatrix, after_row_label: int | None, target_col_label: int
 ) -> LabeledMatrix:
@@ -799,27 +843,9 @@ def insert_pendant_row(
     """
     if m.kind != BIADJACENCY:
         raise ConstructionError("insert-pendant-row: needs a biadjacency matrix")
-    if after_row_label is None or after_row_label == -1:
-        at = 0
-    else:
-        at = m.row_index_of_label(after_row_label) + 1
+    at = 0 if after_row_label in (None, -1) else m.row_index_of_label(after_row_label) + 1
     col = m.col_index_of_label(target_col_label)
-    new_id = m.num_rows + m.num_cols
-    ones = frozenset((i + (i >= at), j) for i, j in m.ones) | {(at, col)}
-    ids = [vid for vid, _ in m.row_slots]
-    ids.insert(at, new_id)
-    rows = len(ids)
-    row_slots = tuple((vid, i) for i, vid in enumerate(ids))
-    col_slots = tuple(
-        (vid, rows + j) for j, (vid, _) in enumerate(m.col_slots)
-    )
-    out = LabeledMatrix(BIADJACENCY, ones, row_slots, col_slots, m.critical + 1)
-    verdict = is_completely_graceful(out)
-    if not verdict:
-        raise ConstructionError(
-            f"insert-pendant-row: diagonal {verdict.first_violation} violated"
-        )
-    return out
+    return _insert_pendants("insert-pendant-row", m, 1, at, col, False)
 
 
 def insert_pendant_column(
@@ -828,25 +854,9 @@ def insert_pendant_column(
     """Insert one column holding a single 1: a new pendant on a row vertex."""
     if m.kind != BIADJACENCY:
         raise ConstructionError("insert-pendant-column: needs a biadjacency matrix")
-    if after_col_label is None or after_col_label == -1:
-        at = 0
-    else:
-        at = m.col_index_of_label(after_col_label) + 1
+    at = 0 if after_col_label in (None, -1) else m.col_index_of_label(after_col_label) + 1
     row = m.row_index_of_label(target_row_label)
-    new_id = m.num_rows + m.num_cols
-    ones = frozenset((i, j + (j >= at)) for i, j in m.ones) | {(row, at)}
-    ids = [vid for vid, _ in m.col_slots]
-    ids.insert(at, new_id)
-    rows = m.num_rows
-    row_slots = tuple((vid, i) for i, (vid, _) in enumerate(m.row_slots))
-    col_slots = tuple((vid, rows + j) for j, vid in enumerate(ids))
-    out = LabeledMatrix(BIADJACENCY, ones, row_slots, col_slots, m.critical)
-    verdict = is_completely_graceful(out)
-    if not verdict:
-        raise ConstructionError(
-            f"insert-pendant-column: diagonal {verdict.first_violation} violated"
-        )
-    return out
+    return _insert_pendants("insert-pendant-column", m, 1, at, row, True)
 
 
 def insert_pendant_pair(m: LabeledMatrix, target_label: int) -> LabeledMatrix:
@@ -859,16 +869,4 @@ def insert_pendant_pair(m: LabeledMatrix, target_label: int) -> LabeledMatrix:
     if m.kind != ADJACENCY:
         raise ConstructionError("insert-pendant-pair: needs an adjacency matrix")
     target = m.row_index_of_label(target_label)
-    n = m.num_rows
-    new_id = n
-    ones = frozenset((i + 1, j + 1) for i, j in m.ones)
-    ones |= {(0, target + 1), (target + 1, 0)}
-    ids = [new_id] + [vid for vid, _ in m.row_slots]
-    slots = tuple((vid, i) for i, vid in enumerate(ids))
-    out = LabeledMatrix(ADJACENCY, ones, slots, slots)
-    verdict = is_completely_graceful(out)
-    if not verdict:
-        raise ConstructionError(
-            f"insert-pendant-pair: diagonal {verdict.first_violation} violated"
-        )
-    return out
+    return _insert_pendants("insert-pendant-pair", m, 1, 0, target, False)

@@ -10,8 +10,12 @@ Three structural classes of lobsters admit certified labelings here:
   halving/reflection system): an explicit two-sided labeling per piece,
   chained critical-to-max.
 
-A dispatcher tries the caterpillar sweep, the three classes and finally
-plain search, returning the first certificate that verifies.
+The dispatcher, label_lobster_auto, sends a caterpillar to the sweep
+without decomposing it; a proper lobster is decomposed once, and that
+Lobster goes to each route of the ROUTES table in turn (keyed by the
+`label --strategy` names), then to plain search.  The first certificate
+that verifies wins.  A part's leftover pendants enter its grid as one
+block through constructions._insert_pendants, with one diagonal check.
 
 Each class has one decider, and both classify_lobster and the class's
 route call it: _balanced_specs (the balanced piece of each spinal pair),
@@ -71,12 +75,10 @@ from .constructions import (
     Certificate,
     Part,
     _certify,
+    _insert_pendants,
     chain_km_matrix,
     copy_chain_matrix,
     double_matrix,
-    insert_pendant_column,
-    insert_pendant_pair,
-    insert_pendant_row,
     merge_chain_matrix,
 )
 from .search import (
@@ -660,8 +662,8 @@ def _certify_tree(
 def _pendant_augmented_adjacency(g: Graph, f: Labeling, pendants: int) -> LabeledMatrix:
     """A piece's adjacency grid with a new first slot per pendant on its maximum."""
     a = canonical_adjacency(g, f)
-    for _ in range(pendants):
-        a = insert_pendant_pair(a, a.row_labels[-1])
+    if pendants:
+        a = _insert_pendants("insert-pendant-pair", a, pendants, 0, a.num_rows - 1, False)
     return a
 
 
@@ -671,15 +673,15 @@ def _pendant_augmented_double(
     """A piece's double with new first rows on its last column and new first
     columns on its last row, one per pendant."""
     d = double_matrix(g, f, g.num_edges)
-    for _ in range(rows_to_add):
-        d = insert_pendant_row(d, None, d.col_labels[-1])
-    for _ in range(cols_to_add):
-        d = insert_pendant_column(d, None, d.row_labels[-1])
+    if rows_to_add:
+        d = _insert_pendants("insert-pendant-row", d, rows_to_add, 0, d.num_cols - 1, False)
+    if cols_to_add:
+        d = _insert_pendants("insert-pendant-column", d, cols_to_add, 0, d.num_rows - 1, True)
     return d
 
 
 def label_pairwise_linked(
-    t: Graph, budget: SearchBudget | None = None
+    t: Graph, budget: SearchBudget | None = None, lob: Lobster | None = None
 ) -> Certificate:
     """Certified graceful labeling of a pairwise linked lobster.
 
@@ -687,7 +689,7 @@ def label_pairwise_linked(
     are merged max-into-max along the spine, and leftover pendants enter as
     fresh extreme rows of their part blocks.
     """
-    found = _linked_pieces(lobster_decompose(t), budget)
+    found = _linked_pieces(lobster_decompose(t) if lob is None else lob, budget)
     if found is None:
         raise ConstructionError("no linked decomposition found")
     chosen, pieces = found
@@ -743,7 +745,7 @@ def _similar_parts(
 
 
 def label_pairwise_similar(
-    t: Graph, budget: SearchBudget | None = None
+    t: Graph, budget: SearchBudget | None = None, lob: Lobster | None = None
 ) -> Certificate:
     """Certified graceful labeling of a pairwise similar lobster.
 
@@ -754,7 +756,7 @@ def label_pairwise_similar(
     fix even branch counts before the lobes are labeled; the rest return
     through pendant insertions.
     """
-    chosen = _similar_direction(lobster_decompose(t))
+    chosen = _similar_direction(lobster_decompose(t) if lob is None else lob)
     if chosen is None:
         raise ConstructionError("lobster is not pairwise similar")
     parts, leftover = _similar_parts(chosen, budget)
@@ -779,13 +781,16 @@ def label_pairwise_similar(
     )
 
 
-def label_pairwise_balanced(t: Graph) -> Certificate:
+def label_pairwise_balanced(
+    t: Graph, budget: SearchBudget | None = None, lob: Lobster | None = None
+) -> Certificate:
     """Certified complete alpha labeling of a pairwise balanced lobster.
 
     Each consecutive spinal pair becomes a balanced two-spined piece labeled
     explicitly; the pieces chain critical-to-max, which recreates the spine.
+    Nothing is searched, so budget is unused.
     """
-    lob = lobster_decompose(t)
+    lob = lobster_decompose(t) if lob is None else lob
     specs = _balanced_specs(lob)
 
     def in_spec_order(lobe: Sequence[Branch], leaf_counts: Sequence[int]) -> list[Branch]:
@@ -817,6 +822,16 @@ def label_pairwise_balanced(t: Graph) -> Certificate:
 
 
 # -- the dispatcher ----------------------------------------------------------------
+
+
+# The constructive routes in dispatch order, keyed by their --strategy name:
+# (construction name, route(t, budget, lob)); a route decomposes t itself
+# when lob is None.
+ROUTES = {
+    "balanced": ("pairwise-balanced", label_pairwise_balanced),
+    "linked": ("pairwise-linked", label_pairwise_linked),
+    "similar": ("pairwise-similar", label_pairwise_similar),
+}
 
 
 @dataclass(frozen=True)
@@ -856,14 +871,14 @@ def label_lobster_auto(
 ) -> Certificate | CoverageReport:
     """Try the constructive routes in a fixed order, then bounded search.
 
-    Routes: caterpillar sweep, pairwise balanced, pairwise linked, pairwise
-    similar, exhaustive search within the budget.  The first verified
-    certificate wins; otherwise a report lists each route's failure.
+    Routes: caterpillar sweep, then the ROUTES table (pairwise balanced,
+    linked, similar) over one decomposition of t, then exhaustive search
+    within the budget.  The first verified certificate wins; otherwise a
+    report lists each route's failure.
     """
     kind = classify_tree(t)
     if kind not in (SINGLE_VERTEX, PATH, CATERPILLAR, LOBSTER):
         raise GraphStructureError("tree is deeper than a lobster")
-    reasons: list[tuple[str, str]] = []
     if kind in (SINGLE_VERTEX, PATH, CATERPILLAR):
         f = label_caterpillar(t)
         return _certify_tree(
@@ -874,14 +889,11 @@ def label_lobster_auto(
             {v: v for v in t.vertices()},
             {},
         )
-    reasons.append(("caterpillar", "tree is a proper lobster"))
-    for name, route in (
-        ("pairwise-balanced", label_pairwise_balanced),
-        ("pairwise-linked", lambda g: label_pairwise_linked(g, budget)),
-        ("pairwise-similar", lambda g: label_pairwise_similar(g, budget)),
-    ):
+    reasons = [("caterpillar", "tree is a proper lobster")]
+    lob = lobster_decompose(t)
+    for name, route in ROUTES.values():
         try:
-            return route(t)
+            return route(t, budget, lob)
         except ConstructionError as exc:
             reasons.append((name, str(exc)))
     search_budget = budget or SearchBudget()

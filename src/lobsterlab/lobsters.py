@@ -47,13 +47,7 @@ class Lobster:
     def __post_init__(self) -> None:
         if not (len(self.spine) == len(self.lobes) == len(self.pendants)):
             raise GraphStructureError("spine, lobes and pendants lengths differ")
-        ids = list(self.spine)
-        for lobe in self.lobes:
-            for br in lobe:
-                ids.append(br.center)
-                ids.extend(br.leaves)
-        for pend in self.pendants:
-            ids.extend(pend)
+        ids = self.all_vertices()
         if len(ids) != len(set(ids)):
             raise GraphStructureError("duplicate vertex id in decomposition")
 
@@ -91,17 +85,7 @@ def reassemble(lob: Lobster) -> Graph:
     """Rebuild the tree a Lobster describes (ids reindexed densely)."""
     ids = sorted(lob.all_vertices())
     index = {v: i for i, v in enumerate(ids)}
-    edges: list[tuple[int, int]] = []
-    for a, b in zip(lob.spine, lob.spine[1:]):
-        edges.append((index[a], index[b]))
-    for v, lobe, pend in zip(lob.spine, lob.lobes, lob.pendants):
-        for br in lobe:
-            edges.append((index[v], index[br.center]))
-            for leaf in br.leaves:
-                edges.append((index[br.center], index[leaf]))
-        for p in pend:
-            edges.append((index[v], index[p]))
-    return build_graph(len(ids), edges)
+    return build_graph(len(ids), [(index[a], index[b]) for a, b in edge_set_of(lob)])
 
 
 def edge_set_of(lob: Lobster) -> frozenset[tuple[int, int]]:

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from lobsterlab.formats import parse_edges, parse_labeling, parse_matrix, parse_moves
+from lobsterlab.graphs import Graph
 from lobsterlab.lobster_labeling import BalancedLobsterSpec
+from lobsterlab.lobsters import Branch, Lobster, reassemble
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -57,6 +59,28 @@ def random_balanced_spec(
     x = tuple(value_of(("x", odd_part(i))) for i in range(1, r + 1))
     y = tuple(value_of(("y", odd_part(i))) for i in range(1, r + 1))
     return BalancedLobsterSpec(x, y, rng.randint(0, 3), rng.randint(0, 3))
+
+
+def make_lobster(spine_lobes_pendants) -> Graph:
+    """A lobster from per-spine-vertex (branch leaf counts, pendant count).
+
+    Spinal vertices take ids 0..r-1; each spinal vertex's branches and
+    then its pendants take the next free ids.
+    """
+    nid = [0]
+
+    def fresh():
+        nid[0] += 1
+        return nid[0] - 1
+
+    spine = tuple(fresh() for _ in spine_lobes_pendants)
+    lobes, pendants = [], []
+    for counts, pend in spine_lobes_pendants:
+        lobes.append(
+            tuple(Branch(fresh(), tuple(fresh() for _ in range(c))) for c in counts)
+        )
+        pendants.append(tuple(fresh() for _ in range(pend)))
+    return reassemble(Lobster(spine, tuple(lobes), tuple(pendants)))
 
 
 def fixture_text(name: str) -> str:

@@ -5,13 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_text, random_balanced_spec
+from conftest import fixture_text, make_lobster, random_balanced_spec
 from lobsterlab.errors import ConstructionError, GraphStructureError
 from lobsterlab import graphs
 from lobsterlab.formats import print_matrix
 from lobsterlab.graphs import build_graph, is_tree, tree_diameter
 from lobsterlab.labelings import verify_alpha, verify_beta
-from lobsterlab.lobsters import Branch, Lobster, lobster_decompose, reassemble
+from lobsterlab.lobsters import lobster_decompose
 from lobsterlab.matrices import matrix_to_graph
 from lobsterlab.lobster_labeling import (
     BARE,
@@ -34,23 +34,6 @@ from lobsterlab.lobster_labeling import (
     violated_balance_equation,
 )
 from lobsterlab.search import FOUND, SearchBudget, brute_force_graceful, enumerate_trees
-
-
-def make_lobster(spine_lobes_pendants):
-    nid = [0]
-
-    def fresh():
-        nid[0] += 1
-        return nid[0] - 1
-
-    spine = tuple(fresh() for _ in spine_lobes_pendants)
-    lobes, pendants = [], []
-    for counts, pend in spine_lobes_pendants:
-        lobes.append(
-            tuple(Branch(fresh(), tuple(fresh() for _ in range(c))) for c in counts)
-        )
-        pendants.append(tuple(fresh() for _ in range(pend)))
-    return reassemble(Lobster(spine, tuple(lobes), tuple(pendants)))
 
 
 class TestBalancedSpec:
@@ -566,3 +549,77 @@ class TestGlueMaxSearchCalls:
         with pytest.raises(ConstructionError, match="no linked decomposition"):
             label_pairwise_linked(t)
         assert searched == [6, 6]
+
+
+class TestPendantBlocks:
+    """Leftover pendants entering as one block give the grid that inserting
+    them one at a time through the public insertions gives."""
+
+    @staticmethod
+    def labeled_trees():
+        from lobsterlab.search import enumerate_trees
+
+        rng = random.Random(13)
+        parts = []
+        for _ in range(4):
+            t = make_lobster([([], rng.randint(0, 3)) for _ in range(rng.randint(2, 4))])
+            parts.append((t, label_caterpillar(t)))
+        trees = [t for n in range(2, 8) for t in enumerate_trees(n)]
+        for t in rng.sample(trees, 4):
+            parts.append((t, brute_force_graceful(t).labeling))
+        return parts
+
+    def test_double_blocks_equal_single_insertions(self):
+        from lobsterlab.constructions import (
+            double_matrix,
+            insert_pendant_column,
+            insert_pendant_row,
+        )
+        from lobsterlab.lobster_labeling import _pendant_augmented_double
+
+        for g, f in self.labeled_trees():
+            rows_in = double_matrix(g, f, g.num_edges)
+            for r in range(13):
+                expected = rows_in
+                for c in range(13):
+                    assert _pendant_augmented_double(g, f, r, c) == expected
+                    expected = insert_pendant_column(expected, None, expected.row_labels[-1])
+                rows_in = insert_pendant_row(rows_in, None, rows_in.col_labels[-1])
+
+    def test_adjacency_blocks_equal_single_insertions(self):
+        from lobsterlab.constructions import insert_pendant_pair
+        from lobsterlab.lobster_labeling import _pendant_augmented_adjacency
+        from lobsterlab.matrices import canonical_adjacency
+
+        for g, f in self.labeled_trees():
+            expected = canonical_adjacency(g, f)
+            for k in range(13):
+                assert _pendant_augmented_adjacency(g, f, k) == expected
+                expected = insert_pendant_pair(expected, expected.row_labels[-1])
+
+
+class TestPendantCost:
+    """Leftover pendants cost the diagonal check nothing per pendant."""
+
+    def test_diagonal_checks_do_not_grow_with_pendants(self, monkeypatch):
+        from lobsterlab import constructions, matrices
+
+        original = matrices.is_completely_graceful
+        calls = []
+
+        def counted(m):
+            calls.append(m.kind)
+            return original(m)
+
+        # constructions binds its own copy of the name
+        for module in (matrices, constructions):
+            monkeypatch.setattr(module, "is_completely_graceful", counted)
+        per_size = []
+        for p in (10, 1000):
+            calls.clear()
+            t = make_lobster([([1, 1], p), ([1, 1], 0), ([1, 1], p)])
+            cert = label_lobster_auto(t)
+            assert cert.construction == "pairwise-linked"
+            assert cert.result_graph.num_vertices == 15 + 2 * p
+            per_size.append(len(calls))
+        assert per_size[0] == per_size[1]
