@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -623,3 +624,127 @@ class TestPendantCost:
             assert cert.result_graph.num_vertices == 15 + 2 * p
             per_size.append(len(calls))
         assert per_size[0] == per_size[1]
+
+
+def _reference_slot_values(xs, ys):
+    """The union-find solver _balanced_slot_values replaced, body verbatim."""
+    r = len(xs)
+    if len(ys) != r:
+        return None
+    if r == 0:
+        return (), ()
+
+    def odd_part(n: int) -> int:
+        while n % 2 == 0:
+            n //= 2
+        return n
+
+    odd_slots = [o for o in range(1, r + 1, 2)]
+    mult = {}
+    for o in odd_slots:
+        count = 0
+        v = o
+        while v <= r:
+            count += 1
+            v *= 2
+        mult[o] = count
+
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def find(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for i in odd_slots:
+        j = odd_part(r - (i - 1) // 2)
+        union(("x", i), ("y", j))
+        union(("y", i), ("x", j))
+
+    comps: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for side in ("x", "y"):
+        for o in odd_slots:
+            comps.setdefault(find((side, o)), []).append((side, o))
+
+    comp_list = []
+    for members in comps.values():
+        xw = sum(mult[o] for s, o in members if s == "x")
+        yw = sum(mult[o] for s, o in members if s == "y")
+        comp_list.append((members, xw, yw))
+    comp_list.sort(key=lambda c: -(c[1] + c[2]))
+
+    values = sorted(set(xs) | set(ys))
+    x_need = Counter(xs)
+    y_need = Counter(ys)
+    chosen: dict[tuple[str, int], int] = {}
+
+    def assign(idx: int) -> bool:
+        if idx == len(comp_list):
+            return not +x_need and not +y_need
+        members, xw, yw = comp_list[idx]
+        for val in values:
+            if x_need[val] >= xw and y_need[val] >= yw:
+                x_need[val] -= xw
+                y_need[val] -= yw
+                for member in members:
+                    chosen[member] = val
+                if assign(idx + 1):
+                    return True
+                for member in members:
+                    del chosen[member]
+                x_need[val] += xw
+                y_need[val] += yw
+        return False
+
+    if not assign(0):
+        return None
+    x_order = tuple(chosen[("x", odd_part(i))] for i in range(1, r + 1))
+    y_order = tuple(chosen[("y", odd_part(i))] for i in range(1, r + 1))
+    if sorted(x_order) != sorted(xs) or sorted(y_order) != sorted(ys):
+        return None
+    return x_order, y_order
+
+
+def test_slot_values_match_reference():
+    """The solver returns the reference's orderings, or None with it, on
+    feasible count multisets (one random value per tie cycle), near-feasible
+    ones (one value swapped between the sides) and random ones."""
+    from lobsterlab.lobster_labeling import _balanced_slot_values
+
+    # the odd-index equations tie odd slot o to odd slot odd(r - (o - 1) // 2)
+    # of the other side, a permutation of the odd slots
+    def odd(n):
+        return n // (n & -n)
+
+    for r in range(4097):
+        tied = sorted(odd(r - (o - 1) // 2) for o in range(1, r + 1, 2))
+        assert tied == list(range(1, r + 1, 2)), r
+    rng = random.Random(17)
+    outcomes = Counter()
+    for _ in range(1000):
+        spec = random_balanced_spec(rng, max_r=40, max_leaf=rng.randint(1, 4))
+        xs, ys = list(spec.head_leaves), list(spec.tail_leaves)
+        rng.shuffle(xs)
+        rng.shuffle(ys)
+        cases = [(xs, ys), (list(ys), list(xs))]
+        if xs:
+            i, j = rng.randrange(len(xs)), rng.randrange(len(ys))
+            xs2, ys2 = list(xs), list(ys)
+            xs2[i], ys2[j] = ys2[j], xs2[i]
+            cases.append((xs2, ys2))
+        r = rng.randint(0, 40)
+        k = rng.randint(1, 4)
+        cases.append(([rng.randint(1, k) for _ in range(r)],
+                      [rng.randint(1, k) for _ in range(r)]))
+        for xs, ys in cases:
+            got = _balanced_slot_values(xs, ys)
+            assert got == _reference_slot_values(xs, ys), (xs, ys)
+            outcomes[got is None] += 1
+    assert outcomes[False] > 2000 and outcomes[True] > 500
