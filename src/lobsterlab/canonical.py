@@ -6,16 +6,16 @@ trees are isomorphic iff their codes match.  Free trees are rooted at their
 centroid (the minimizer of the largest remaining component); with two
 centroids the smaller of the two codes is taken.
 
-Each walk from a root (_order_children) is also the tree check: a graph is
-a tree iff the walk reaches all n vertices through n - 1 edges, so a
-non-tree raises GraphStructureError before any answer.  isomorphism_map
-computes t1's codes once and pairs children as rooted_isomorphism_map does.
+Each walk from a root (_order_children) starts with require_tree, which
+reads the tree check the Graph caches, so a non-tree raises
+GraphStructureError before any answer.  isomorphism_map computes t1's
+codes once and pairs children as rooted_isomorphism_map does.
 """
 
 from __future__ import annotations
 
 from .errors import GraphStructureError
-from .graphs import Graph
+from .graphs import Graph, require_tree
 
 Coded = tuple[dict[int, list[int]], dict[int, str]]  # children lists, AHU codes
 
@@ -26,8 +26,7 @@ def _order_children(g: Graph, root: int) -> tuple[dict[int, list[int]], list[int
     Raises GraphStructureError unless g is a tree and root one of its
     vertices.
     """
-    if g.num_edges != g.num_vertices - 1:
-        raise GraphStructureError("input is not a tree")
+    require_tree(g)
     if not (0 <= root < g.num_vertices):
         raise GraphStructureError(f"root {root} is not a vertex")
     children: dict[int, list[int]] = {v: [] for v in g.vertices()}
@@ -42,8 +41,6 @@ def _order_children(g: Graph, root: int) -> tuple[dict[int, list[int]], list[int
                 seen.add(w)
                 children[v].append(w)
                 stack.append(w)
-    if len(order) != g.num_vertices:
-        raise GraphStructureError("input is not a tree")
     return children, list(reversed(order))
 
 

@@ -157,10 +157,7 @@ def parse_matrix(text: str) -> LabeledMatrix:
 
 def parse_moves(text: str) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     moves = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _content_lines(text):
         try:
             src, dst = line.split("->")
             r, c = map(int, src.split())

@@ -41,7 +41,11 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph on vertex ids ``0..num_vertices-1``."""
+    """A simple undirected graph on vertex ids ``0..num_vertices-1``.
+
+    ``build_graph`` is the validating constructor: it checks each edge once
+    and stores it normalized as (u, v) with u < v.  Graph trusts its edges.
+    """
 
     num_vertices: int
     edges: frozenset[tuple[int, int]]
@@ -49,13 +53,6 @@ class Graph:
     def __post_init__(self) -> None:
         if self.num_vertices < 0:
             raise GraphStructureError("num_vertices must be non-negative")
-        for u, v in self.edges:
-            if u == v:
-                raise GraphStructureError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise GraphStructureError(f"edge ({u}, {v}) has an endpoint out of range")
-            if u > v:
-                raise GraphStructureError(f"edge ({u}, {v}) is not normalized (u < v)")
 
     @property
     def num_edges(self) -> int:

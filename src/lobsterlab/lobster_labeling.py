@@ -486,93 +486,71 @@ def _balanced_slot_values(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Orderings of the two count multisets satisfying the balance system.
 
-    The even-index equations collapse each side to its odd-index values;
-    the odd-index equations couple the sides into components that must
-    share one value.  A small exact cover over the components decides
-    whether the multisets fit.
+    The even-index equations give slot i the value of slot odd(i) on its
+    side, so odd slot o fills (r // o).bit_length() slots.  The odd-index
+    equations tie (side, o) to (other side, odd(r - (o - 1) // 2)); that
+    map permutes the odd slots, since each odd o <= r has exactly one
+    multiple o * 2^j in (r/2, r].  So the ties form cycles alternating
+    sides, each taking one value, and an exact cover over the cycles,
+    heaviest first and values ascending, decides whether the multisets fit.
+    Cycles of equal weights take non-decreasing values: swapping two such
+    values keeps every count, so the first cover found has them in order.
     """
     r = len(xs)
     if len(ys) != r:
         return None
-    if r == 0:
-        return (), ()
 
-    def odd_part(n: int) -> int:
-        while n % 2 == 0:
-            n //= 2
-        return n
+    def odd(n: int) -> int:
+        return n // (n & -n)
 
-    odd_slots = [o for o in range(1, r + 1, 2)]
-    mult = {}
-    for o in odd_slots:
-        count = 0
-        v = o
-        while v <= r:
-            count += 1
-            v *= 2
-        mult[o] = count
-
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i in odd_slots:
-        j = odd_part(r - (i - 1) // 2)
-        union(("x", i), ("y", j))
-        union(("y", i), ("x", j))
-
-    comps: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for side in ("x", "y"):
-        for o in odd_slots:
-            comps.setdefault(find((side, o)), []).append((side, o))
-
-    comp_list = []
-    for members in comps.values():
-        xw = sum(mult[o] for s, o in members if s == "x")
-        yw = sum(mult[o] for s, o in members if s == "y")
-        comp_list.append((members, xw, yw))
-    comp_list.sort(key=lambda c: -(c[1] + c[2]))
+    cycle_of: dict[tuple[int, int], int] = {}
+    weights: list[tuple[int, int]] = []
+    for start in [(side, o) for side in (0, 1) for o in range(1, r + 1, 2)]:
+        if start in cycle_of:
+            continue
+        w = [0, 0]
+        node = start
+        while node not in cycle_of:
+            cycle_of[node] = len(weights)
+            side, o = node
+            w[side] += (r // o).bit_length()
+            node = (1 - side, odd(r - (o - 1) // 2))
+        weights.append((w[0], w[1]))
+    order = sorted(range(len(weights)), key=lambda c: -sum(weights[c]))
 
     values = sorted(set(xs) | set(ys))
-    x_need = Counter(xs)
-    y_need = Counter(ys)
-    chosen: dict[tuple[str, int], int] = {}
+    x_need, y_need = Counter(xs), Counter(ys)
+    chosen = [0] * len(weights)  # index into values, per cycle
+    last_alike: dict[tuple[int, int], int] = {}
+    alike = []  # per position: the previous cycle of equal weights, or None
+    for c in order:
+        alike.append(last_alike.get(weights[c]))
+        last_alike[weights[c]] = c
 
-    def assign(idx: int) -> bool:
-        if idx == len(comp_list):
-            return not +x_need and not +y_need
-        members, xw, yw = comp_list[idx]
-        for val in values:
+    def assign(pos: int) -> bool:
+        if pos == len(order):
+            return True
+        c = order[pos]
+        xw, yw = weights[c]
+        lowest = 0 if alike[pos] is None else chosen[alike[pos]]
+        for vi in range(lowest, len(values)):
+            val = values[vi]
             if x_need[val] >= xw and y_need[val] >= yw:
                 x_need[val] -= xw
                 y_need[val] -= yw
-                for member in members:
-                    chosen[member] = val
-                if assign(idx + 1):
+                chosen[c] = vi
+                if assign(pos + 1):
                     return True
-                for member in members:
-                    del chosen[member]
                 x_need[val] += xw
                 y_need[val] += yw
         return False
 
     if not assign(0):
         return None
-    x_order = tuple(chosen[("x", odd_part(i))] for i in range(1, r + 1))
-    y_order = tuple(chosen[("y", odd_part(i))] for i in range(1, r + 1))
-    if sorted(x_order) != sorted(xs) or sorted(y_order) != sorted(ys):
-        return None
-    return x_order, y_order
+    return tuple(
+        tuple(values[chosen[cycle_of[side, odd(i)]]] for i in range(1, r + 1))
+        for side in (0, 1)
+    )
 
 
 def _balanced_specs(lob: Lobster) -> list[BalancedLobsterSpec]:

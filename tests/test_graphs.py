@@ -58,6 +58,10 @@ class TestBuildGraph:
         with pytest.raises(GraphStructureError, match="out of range"):
             build_graph(3, [(0, 3)])
 
+    def test_first_offender_in_input_order_named(self):
+        with pytest.raises(GraphStructureError, match=r"^edge \(5, 0\) has an endpoint"):
+            build_graph(3, [(0, 1), (5, 0), (2, 2)])
+
 
 class TestIsTree:
     def test_k2(self):

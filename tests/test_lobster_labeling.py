@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from collections import Counter
 
 import pytest
@@ -370,6 +371,30 @@ class TestPairwiseBalanced:
         g, _ = matrix_to_graph(lobster26_shifted_matrix)
         with pytest.raises(ConstructionError, match="balanced"):
             label_pairwise_balanced(g)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_wide_pair_labeled_quickly(self, seed):
+        # 127 branches per side in shuffled order: the exact cover must not
+        # try tie cycles of equal weights in every order of their values
+        rng = random.Random(seed)
+        spec = random_balanced_spec(rng, max_r=127, max_leaf=4, min_r=127)
+        xs, ys = list(spec.head_leaves), list(spec.tail_leaves)
+        rng.shuffle(xs)
+        rng.shuffle(ys)
+        t = make_lobster([(xs, 0), (ys, 0)])
+
+        def too_slow(signum, frame):
+            raise TimeoutError("balanced pair took more than 10 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            cert = label_lobster_auto(t)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert cert.construction == "pairwise-balanced"
+        assert cert.result_graph.num_vertices == t.num_vertices
 
 
 class TestAutoDispatcher:
