@@ -185,6 +185,39 @@ def test_pinned_search_agrees_with_permutation_oracle(case):
         assert all(res.labeling.assignment[v] == lab for v, lab in fixed.items())
 
 
+def straddled(g, f):
+    """True iff some k has every edge's labels on either side of it (alpha)."""
+    return any(
+        all(min(f[u], f[v]) <= k < max(f[u], f[v]) for u, v in g.edges)
+        for k in range(g.num_edges + 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinned_graphs())
+@example((cycle_graph(5), {}))
+@example((cycle_graph(6), {}))
+@example((complete_graph(4), {}))
+@example((NON_TREES["K2,3"], {}))
+@example((NON_TREES["C3 and K2"], {}))
+@example((build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), {}))
+@example((build_graph(6, [(0, 1), (0, 2), (0, 3), (4, 5), (1, 4)]), {}))
+def test_graceful_and_alpha_agree_with_permutation_oracle(case):
+    # the pins are ignored: this checks the unpinned searches, symmetry cuts
+    # and complement cut included, on trees, cycles and disconnected graphs
+    g, _ = case
+    injections = list(graceful_injections(g))
+    graceful = brute_force_graceful(g)
+    assert graceful.status == (FOUND if injections else EXHAUSTED)
+    if graceful:
+        assert verify_beta(g, graceful.labeling)
+    alpha = brute_force_alpha(g)
+    expected = any(straddled(g, f) for f in injections)
+    assert alpha.status == (FOUND if expected else EXHAUSTED)
+    if alpha:
+        assert verify_alpha(g, alpha.labeling)
+
+
 class TestTimeLimit:
     # needs 12 726 graceful and 4 772 alpha nodes (over every (side, k) run)
     SLOW = build_graph(
