@@ -10,10 +10,18 @@ so results are deterministic.  Each vertex gets a label window:
 - alpha: per side and critical value k, 0..k on the low side and k+1..m,
   tried downwards, on the high side, with symmetry cuts;
 - count: 0..m with no cuts, since it counts labelings as functions.
-Duplicate vertex and edge labels are pruned.  Tick rule: a used label is
-skipped for free, every other label tried costs one node of the budget;
-the search stops once nodes exceed max_nodes (leaving max_nodes + 1) or,
-read at every 4096th node, the time limit has passed.
+Label order: a vertex with exactly one placed neighbour, labeled a, tries
+its window by falling |label - a|, the lower label first on ties, so the
+large edge labels are committed first; other vertices scan their window
+upwards, or downwards when it says so.  Duplicate vertex and edge labels
+are pruned.  Tick rule, the same under any label order: a used label is
+skipped for free, every other label tried costs one node of the budget
+(one whose difference is taken too); the search stops once nodes exceed
+max_nodes (leaving max_nodes + 1) or, read at every 4096th node, the time
+limit has passed.  So an exhausted search visits the same nodes in any
+order, and its node count, the count search's total and the alpha
+search's outputs (its windows never straddle a neighbour's label) do not
+depend on the order.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .errors import GraphStructureError
@@ -140,6 +149,15 @@ def _symmetry_groups(g: Graph, order: list[int]) -> dict[int, list[int]]:
     }
 
 
+@lru_cache(maxsize=64)
+def _labels_by_difference(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row a lists 0..m by falling |label - a|, the lower label first on ties."""
+    return tuple(
+        tuple(sorted(range(m + 1), key=lambda lab: (-abs(lab - a), lab)))
+        for a in range(m + 1)
+    )
+
+
 def _backtrack(
     g: Graph,
     order: list[int],
@@ -154,8 +172,12 @@ def _backtrack(
     narrowed by its placed symmetry-group siblings.  A table built once per
     call lists each depth's earlier-placed neighbours and siblings, and a
     vertex with one placed neighbour (each tree vertex after the first)
-    checks a single difference.  Nodes are counted in a local under the
-    module's tick rule and written back to the shared clock.  Returns how
+    checks a single difference and tries its labels by falling difference
+    to that neighbour's label a: a window wholly below a upwards, one wholly
+    above a downwards, and one that straddles a in the order of
+    _labels_by_difference(m)[a].  Nodes are counted in a local under the
+    module's tick rule, which the order leaves unchanged, and written back
+    to the shared clock.  Returns how
     many complete labelings were reached (at most one unless counting) and
     the first of them; the caller reads clock.expired for a budget stop.
     """
@@ -165,9 +187,11 @@ def _backtrack(
         # placed siblings take labels in member order along the window
         sibs = [(w, (w < v) != windows[v][2]) for w in groups.get(v, ()) if pos[w] < i]
         steps.append((v, tuple(w for w in g.neighbors(v) if pos[w] < i), sibs))
+    m = g.num_edges
+    by_difference = _labels_by_difference(m)
     label = [0] * g.num_vertices
-    used_labels = [False] * (g.num_edges + 1)
-    used_edges = [False] * (g.num_edges + 1)
+    used_labels = [False] * (m + 1)
+    used_edges = [False] * (m + 1)
     nodes, max_nodes, deadline = clock.nodes, clock.max_nodes, clock.deadline
     found = 0
     first: dict[int, int] | None = None
@@ -188,7 +212,15 @@ def _backtrack(
             else:
                 hi = min(hi, label[w] - 1)
         one = label[nbrs[0]] if len(nbrs) == 1 else None
-        for lab in range(hi, lo - 1, -1) if descending else range(lo, hi + 1):
+        if one is not None and lo < one < hi:
+            labs = by_difference[one]
+            if hi - lo < m:
+                labs = [lab for lab in labs if lo <= lab <= hi]
+        else:
+            if one is not None:
+                descending = lo >= one
+            labs = range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
+        for lab in labs:
             if used_labels[lab]:
                 continue
             nodes += 1

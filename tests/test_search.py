@@ -219,14 +219,20 @@ def test_graceful_and_alpha_agree_with_permutation_oracle(case):
 
 
 class TestTimeLimit:
-    # needs 12 726 graceful and 4 772 alpha nodes (over every (side, k) run)
-    SLOW = build_graph(
-        10, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (5, 8), (6, 9)]
-    )
+    # Inputs that need more than 4096 nodes whatever order labels are tried
+    # in: C9 has no graceful labeling, so its search is exhausted after
+    # 223 870 nodes; the tree's alpha search needs 4 772 (over every (side, k)
+    # run), and alpha windows keep one fixed order.
+    SLOW = {
+        brute_force_graceful: cycle_graph(9),
+        brute_force_alpha: build_graph(
+            10, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (5, 8), (6, 9)]
+        ),
+    }
 
     @pytest.mark.parametrize("search", [brute_force_graceful, brute_force_alpha])
     def test_clock_read_at_node_4096_ends_the_search(self, search):
-        res = search(self.SLOW, SearchBudget(max_nodes=10**9, time_limit=1e-9))
+        res = search(self.SLOW[search], SearchBudget(max_nodes=10**9, time_limit=1e-9))
         assert (res.status, res.nodes) == (BUDGET_EXCEEDED, 4096)
 
     @pytest.mark.parametrize("search", [brute_force_graceful, brute_force_alpha])
