@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .errors import GraphStructureError
-from .graphs import Graph, bipartition, build_graph, is_tree
+from .graphs import Graph, add_leaf, bipartition, build_graph, is_tree
 from .canonical import free_code, rooted_codes
 from .labelings import ALPHA, BETA, Labeling
 
@@ -383,7 +383,8 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     """All non-isomorphic trees on n vertices, ordered by canonical code.
 
     Grown by leaf extension from the trees on n-1 vertices with canonical
-    deduplication at every level.
+    deduplication at every level; each candidate is a tree by construction,
+    so add_leaf spares it the connectivity walk.
     """
     if not (1 <= n <= 10):
         raise GraphStructureError("supported range is 1 <= n <= 10")
@@ -392,8 +393,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
         grown: dict[str, Graph] = {}
         for t in level.values():
             for v in t.vertices():
-                edges = list(t.edges) + [(v, size - 1)]
-                candidate = build_graph(size, edges)
+                candidate = add_leaf(t, v)
                 code = free_code(candidate)
                 if code not in grown:
                     grown[code] = candidate

@@ -11,6 +11,7 @@ from lobsterlab.graphs import (
     LOBSTER,
     PATH,
     SINGLE_VERTEX,
+    add_leaf,
     base,
     base_with_map,
     build_graph,
@@ -79,6 +80,22 @@ class TestIsTree:
         assert is_tree(g)
         g2 = build_graph(4, [(0, 1), (2, 3)])
         assert not is_tree(g2)
+
+
+class TestAddLeaf:
+    @pytest.mark.parametrize("g", [
+        build_graph(1, []), path_graph(4), star_graph(3), cycle_graph(4),
+        build_graph(4, [(0, 1), (2, 3)]),
+    ])
+    def test_same_graph_and_tree_check_as_build_graph(self, g):
+        for v in g.vertices():
+            grown = add_leaf(g, v)
+            built = build_graph(g.num_vertices + 1, [*g.edges, (g.num_vertices, v)])
+            assert grown == built and is_tree(grown) == is_tree(built) == is_tree(g)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(GraphStructureError, match="out of range"):
+            add_leaf(path_graph(3), 3)
 
 
 class TestCachedFacts:
