@@ -113,14 +113,8 @@ def build_graph(num_vertices: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def add_leaf(t: Graph, v: int) -> Graph:
-    """t with a new vertex n = t.num_vertices hung on vertex v of t.
-
-    The result is a tree exactly when t is one, so it inherits t's tree
-    check instead of walking its components.
-    """
+    """t plus a leaf n = t.num_vertices on its vertex v: a tree iff t is, no walk."""
     n = t.num_vertices
-    if not 0 <= v < n:
-        raise GraphStructureError(f"edge ({v}, {n}) has an endpoint out of range")
     g = Graph(n + 1, t.edges | {(v, n)})
     g.__dict__["_is_tree"] = t._is_tree  # the slot cached_property fills
     return g

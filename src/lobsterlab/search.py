@@ -10,18 +10,13 @@ so results are deterministic.  Each vertex gets a label window:
 - alpha: per side and critical value k, 0..k on the low side and k+1..m,
   tried downwards, on the high side, with symmetry cuts;
 - count: 0..m with no cuts, since it counts labelings as functions.
-Label order: a vertex with exactly one placed neighbour, labeled a, tries
-its window by falling |label - a|, the lower label first on ties, so the
-large edge labels are committed first; other vertices scan their window
-upwards, or downwards when it says so.  Duplicate vertex and edge labels
-are pruned.  Tick rule, the same under any label order: a used label is
-skipped for free, every other label tried costs one node of the budget
-(one whose difference is taken too); the search stops once nodes exceed
+A vertex with exactly one placed neighbour, labeled a, tries labels by falling
+|label - a|, lower first on ties.  Duplicate vertex and edge labels are pruned.
+Tick rule, whatever the order: a used label is skipped for free, every other
+label tried costs one node of the budget; the search stops once nodes exceed
 max_nodes (leaving max_nodes + 1) or, read at every 4096th node, the time
-limit has passed.  So an exhausted search visits the same nodes in any
-order, and its node count, the count search's total and the alpha
-search's outputs (its windows never straddle a neighbour's label) do not
-depend on the order.
+limit has passed.  So exhausted node counts, counts and alpha outputs (no
+alpha window straddles a neighbour's label) do not depend on the order.
 """
 
 from __future__ import annotations
@@ -152,10 +147,7 @@ def _symmetry_groups(g: Graph, order: list[int]) -> dict[int, list[int]]:
 @lru_cache(maxsize=64)
 def _labels_by_difference(m: int) -> tuple[tuple[int, ...], ...]:
     """Row a lists 0..m by falling |label - a|, the lower label first on ties."""
-    return tuple(
-        tuple(sorted(range(m + 1), key=lambda lab: (-abs(lab - a), lab)))
-        for a in range(m + 1)
-    )
+    return tuple(tuple(sorted(range(m + 1), key=lambda x: (-abs(x - a), x))) for a in range(m + 1))
 
 
 def _backtrack(
@@ -170,14 +162,12 @@ def _backtrack(
 
     Vertex v tries the labels windows[v] = (lo, hi, descending) allows,
     narrowed by its placed symmetry-group siblings.  A table built once per
-    call lists each depth's earlier-placed neighbours and siblings, and a
-    vertex with one placed neighbour (each tree vertex after the first)
-    checks a single difference and tries its labels by falling difference
-    to that neighbour's label a: a window wholly below a upwards, one wholly
-    above a downwards, and one that straddles a in the order of
-    _labels_by_difference(m)[a].  Nodes are counted in a local under the
-    module's tick rule, which the order leaves unchanged, and written back
-    to the shared clock.  Returns how
+    call lists each depth's earlier-placed neighbours and siblings.  A vertex
+    with one placed neighbour (each tree vertex after the first) checks one
+    difference and tries labels by falling difference to it.  Nodes are
+    counted in a local under the module's tick rule, which is the same in
+    any order, so exhausted node counts, counts and alpha outputs do not
+    depend on it; the local goes back to the shared clock.  Returns how
     many complete labelings were reached (at most one unless counting) and
     the first of them; the caller reads clock.expired for a budget stop.
     """
@@ -187,11 +177,10 @@ def _backtrack(
         # placed siblings take labels in member order along the window
         sibs = [(w, (w < v) != windows[v][2]) for w in groups.get(v, ()) if pos[w] < i]
         steps.append((v, tuple(w for w in g.neighbors(v) if pos[w] < i), sibs))
-    m = g.num_edges
-    by_difference = _labels_by_difference(m)
+    by_difference = _labels_by_difference(g.num_edges)
     label = [0] * g.num_vertices
-    used_labels = [False] * (m + 1)
-    used_edges = [False] * (m + 1)
+    used_labels = [False] * (g.num_edges + 1)
+    used_edges = [False] * (g.num_edges + 1)
     nodes, max_nodes, deadline = clock.nodes, clock.max_nodes, clock.deadline
     found = 0
     first: dict[int, int] | None = None
@@ -214,11 +203,10 @@ def _backtrack(
         one = label[nbrs[0]] if len(nbrs) == 1 else None
         if one is not None and lo < one < hi:
             labs = by_difference[one]
-            if hi - lo < m:
+            if hi - lo < len(labs) - 1:
                 labs = [lab for lab in labs if lo <= lab <= hi]
         else:
-            if one is not None:
-                descending = lo >= one
+            descending = descending if one is None else lo >= one
             labs = range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
         for lab in labs:
             if used_labels[lab]:
@@ -383,8 +371,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     """All non-isomorphic trees on n vertices, ordered by canonical code.
 
     Grown by leaf extension from the trees on n-1 vertices with canonical
-    deduplication at every level; each candidate is a tree by construction,
-    so add_leaf spares it the connectivity walk.
+    deduplication at every level.
     """
     if not (1 <= n <= 10):
         raise GraphStructureError("supported range is 1 <= n <= 10")
@@ -394,9 +381,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
         for t in level.values():
             for v in t.vertices():
                 candidate = add_leaf(t, v)
-                code = free_code(candidate)
-                if code not in grown:
-                    grown[code] = candidate
+                grown.setdefault(free_code(candidate), candidate)
         level = grown
     for code in sorted(level):
         yield level[code]

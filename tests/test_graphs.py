@@ -93,10 +93,6 @@ class TestAddLeaf:
             built = build_graph(g.num_vertices + 1, [*g.edges, (g.num_vertices, v)])
             assert grown == built and is_tree(grown) == is_tree(built) == is_tree(g)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(GraphStructureError, match="out of range"):
-            add_leaf(path_graph(3), 3)
-
 
 class TestCachedFacts:
     def test_filled_cache_keeps_equality_and_hash(self):
