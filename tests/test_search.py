@@ -218,6 +218,32 @@ def test_graceful_and_alpha_agree_with_permutation_oracle(case):
         assert verify_alpha(g, alpha.labeling)
 
 
+def cycle_with_pendants(n, k):
+    """Cn with k twin pendant leaves on vertex 0."""
+    return build_graph(n + k, [(i, (i + 1) % n) for i in range(n)]
+                       + [(0, n + j) for j in range(k)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinned_graphs())
+@example((cycle_with_pendants(3, 1), {}))
+@example((cycle_with_pendants(3, 2), {}))
+@example((cycle_with_pendants(3, 3), {}))
+@example((cycle_with_pendants(4, 1), {}))
+@example((cycle_with_pendants(4, 2), {}))
+@example((cycle_with_pendants(4, 3), {}))
+@example((cycle_with_pendants(5, 1), {}))
+@example((cycle_with_pendants(5, 2), {}))
+@example((cycle_with_pendants(5, 3), {}))
+@example((NON_TREES["C3 and K2"], {}))
+@example((build_graph(4, [(0, 1), (1, 2), (0, 2)]), {}))  # C3 and an isolated vertex
+def test_count_agrees_with_permutation_oracle(case):
+    # the pins are ignored: this checks the count on trees, cycles with twin
+    # pendants and disconnected graphs
+    g, _ = case
+    assert count_graceful_labelings(g) == permutation_count(g)
+
+
 class TestTimeLimit:
     # Inputs that need more than 4096 nodes whatever order labels are tried
     # in: C9 has no graceful labeling, so its search is exhausted after
