@@ -22,6 +22,7 @@ alpha window straddles a neighbour's label) do not depend on the order.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -350,21 +351,36 @@ def brute_force_alpha(g: Graph, budget: SearchBudget | None = None) -> SearchRes
 
 
 def count_graceful_labelings(g: Graph, budget: SearchBudget | None = None) -> int:
-    """Number of graceful labelings counted as functions (no symmetry cuts)."""
+    """Number of graceful labelings counted as functions.
+
+    The sibling swaps G act freely on labelings and fix order[0], so the
+    symmetry cuts keep one labeling per orbit of |G|; the complement pairs
+    the orbits with first label a and m - a, so only a <= m // 2 is searched.
+    """
     budget = budget or SearchBudget(max_vertices=10)
     m = g.num_edges
     if g.num_vertices > m + 1:
         return 0
+    if g.num_vertices == 0:
+        return 1
     if g.num_vertices > budget.max_vertices:
         raise GraphStructureError(
             f"counting limited to {budget.max_vertices} vertices"
         )
+    order = _vertex_order(g)
+    groups = _symmetry_groups(g, order)
     clock = _new_clock(budget)
     windows = [(0, m, False)] * g.num_vertices
-    found, _ = _backtrack(g, _vertex_order(g), clock, windows, {}, count=True)
+    windows[order[0]] = (0, (m - 1) // 2, False)
+    below, _ = _backtrack(g, order, clock, windows, groups, count=True)
+    middle = 0
+    if m % 2 == 0 and not clock.expired:
+        windows[order[0]] = (m // 2, m // 2, False)
+        middle, _ = _backtrack(g, order, clock, windows, groups, count=True)
     if clock.expired:
         raise GraphStructureError("search budget exceeded")
-    return found
+    distinct = {tuple(members) for members in groups.values()}
+    return math.prod(math.factorial(len(members)) for members in distinct) * (2 * below + middle)
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:

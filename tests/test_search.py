@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -302,6 +303,16 @@ class TestCounts:
 
     def test_single_vertex(self):
         assert count_graceful_labelings(build_graph(1, [])) == 1
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_star_counts_both_centre_labels_times_leaf_orders(self, k):
+        # the centre takes 0 or k, and the leaves any order of the rest
+        assert count_graceful_labelings(complete_bipartite(1, k)) == 2 * math.factorial(k)
+
+    def test_star_counts_one_labeling_per_orbit(self):
+        # counting all 725 760 labelings of K1,9 one by one takes over 3 M nodes
+        budget = SearchBudget(max_vertices=10, max_nodes=10_000)
+        assert count_graceful_labelings(complete_bipartite(1, 9), budget) == 725_760
 
 
 class TestEnumerateTrees:
