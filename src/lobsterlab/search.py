@@ -336,17 +336,17 @@ def brute_force_alpha(g: Graph, budget: SearchBudget | None = None) -> SearchRes
     order = _vertex_order(g)
     clock = _new_clock(budget)
     groups = _symmetry_groups(g, order)
-    for low_side in parts:
-        for k in range(m + 1):
-            if len(low_side) > k + 1 or g.num_vertices - len(low_side) > m - k:
-                continue
-            windows = [
-                (0, k, False) if v in low_side else (k + 1, m, True)
-                for v in g.vertices()
-            ]
-            _, first = _backtrack(g, order, clock, windows, groups)
-            if first is not None or clock.expired:
-                return _result(first, clock, ALPHA, k)
+    low_side = parts[0]
+    for k in range(m + 1):
+        if len(low_side) > k + 1 or g.num_vertices - len(low_side) > m - k:
+            continue
+        windows = [
+            (0, k, False) if v in low_side else (k + 1, m, True)
+            for v in g.vertices()
+        ]
+        _, first = _backtrack(g, order, clock, windows, groups)
+        if first is not None or clock.expired:
+            return _result(first, clock, ALPHA, k)
     return _result(None, clock)
 
 
