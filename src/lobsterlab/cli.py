@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 negative answer (verification failed, nothing
 found, not coverable), 2 usage or parse error (including a search budget
 that is not a positive number, from the --budget-* options or
-GRACEFUL_BUDGET_SECS), 3 verification-level failure of an input that was
-expected to verify (or an exhausted search budget).
+GRACEFUL_BUDGET_SECS, or a --budget-vertices above the search's ceiling
+of 500), 3 verification-level failure of an input that was expected to
+verify (or an exhausted search budget).
 Output is stable across runs; --format json switches the machine-readable
 subcommands to JSON.
 """
@@ -35,6 +36,7 @@ from .matrices import canonical_adjacency, canonical_biadjacency, matrix_to_grap
 from .search import (
     EXHAUSTED,
     FOUND,
+    VERTEX_CEILING,
     SearchBudget,
     SearchResult,
     brute_force_alpha,
@@ -79,7 +81,7 @@ def _budget_from(args: argparse.Namespace) -> SearchBudget:
 
     Seconds default to GRACEFUL_BUDGET_SECS, else SearchBudget's time
     limit; nodes and vertices to SearchBudget's.  Every value must be a
-    positive number.
+    positive number, and vertices at most VERTEX_CEILING.
     """
     default = SearchBudget()
     secs, secs_name = args.budget_secs, "--budget-secs"
@@ -99,6 +101,8 @@ def _budget_from(args: argparse.Namespace) -> SearchBudget:
     ):
         if not value > 0:
             raise FormatError(f"{name} must be positive, got {value}")
+    if vertices > VERTEX_CEILING:
+        raise FormatError(f"--budget-vertices must be at most {VERTEX_CEILING}, got {vertices}")
     return SearchBudget(max_vertices=vertices, max_nodes=nodes, time_limit=secs)
 
 

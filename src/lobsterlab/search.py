@@ -38,8 +38,15 @@ EXHAUSTED = "exhausted-none"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
+# The kernel recurses once per vertex, so a search stays well under Python's
+# default recursion limit of 1000 frames.
+VERTEX_CEILING = 500
+
+
 @dataclass(frozen=True)
 class SearchBudget:
+    """Caps on one search: vertices (at most VERTEX_CEILING), nodes and seconds."""
+
     max_vertices: int = 14
     max_nodes: int = 5_000_000
     time_limit: float = 60.0
@@ -48,6 +55,8 @@ class SearchBudget:
         # `not x > 0` also rejects NaN, which would disable a cap
         if not (self.max_vertices > 0 and self.max_nodes > 0 and self.time_limit > 0):
             raise ValueError("budget fields must be positive")
+        if self.max_vertices > VERTEX_CEILING:
+            raise ValueError(f"max_vertices must be at most {VERTEX_CEILING}")
 
 
 @dataclass

@@ -374,6 +374,7 @@ class TestCliBoundary:
             (None, ["--budget-nodes", "-3"]),
             (None, ["--budget-vertices", "0"]),
             (None, ["--budget-vertices", "-1"]),
+            (None, ["--budget-vertices", "501"]),
         ],
     )
     def test_bad_budget_exits_2(self, workdir, capsys, monkeypatch, env, options):
@@ -387,6 +388,18 @@ class TestCliBoundary:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "budget" in captured.err.lower()
+
+    def test_vertex_budget_above_the_ceiling_exits_2(self, tmp_path, capsys):
+        # the kernel recurses once per vertex: a 1000-vertex search would
+        # overflow Python's stack, so the budget refuses it up front
+        path = tmp_path / "p1000.edges"
+        path.write_text("1000 999\n" + "".join(f"{i} {i + 1}\n" for i in range(999)))
+        code = main(["search", str(path), "--alpha", "--budget-vertices", "2000",
+                     "--budget-nodes", "100000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: --budget-vertices must be at most 500, got 2000\n"
 
     def test_explicit_budget_secs_overrides_env(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("GRACEFUL_BUDGET_SECS", "abc")

@@ -27,6 +27,7 @@ from lobsterlab.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
     FOUND,
+    VERTEX_CEILING,
     SearchBudget,
     brute_force_alpha,
     brute_force_graceful,
@@ -143,6 +144,18 @@ class TestBruteForceGraceful:
         # NaN compares false both ways, so it must not slip past as "positive"
         with pytest.raises(ValueError, match="positive"):
             SearchBudget(**{field: value})
+
+    def test_vertex_ceiling(self):
+        assert SearchBudget(max_vertices=VERTEX_CEILING).max_vertices == 500
+        with pytest.raises(ValueError, match="at most 500"):
+            SearchBudget(max_vertices=VERTEX_CEILING + 1)
+
+    def test_search_reaches_full_depth_at_the_ceiling(self):
+        # the alpha search on K1,499 labels all 500 vertices in 500 nodes,
+        # one recursion level each
+        star = complete_bipartite(1, 499)
+        res = brute_force_alpha(star, SearchBudget(max_vertices=VERTEX_CEILING))
+        assert res and res.nodes == 500 and verify_alpha(star, res.labeling)
 
     def test_deterministic(self, tree9):
         a = brute_force_graceful(tree9)
