@@ -7,9 +7,12 @@ so results are deterministic.  Each vertex gets a label window:
 - graceful: 0..m, the first vertex at most m // 2 (the complement
   f -> m - f covers the rest), with symmetry cuts on sibling groups;
 - pinned: a one-label window per pinned vertex, 0..m elsewhere, no cuts;
-- alpha: per side and critical value k, 0..k on the low side and k+1..m,
-  tried downwards, on the high side, with symmetry cuts;
-- count: 0..m with no cuts, since it counts labelings as functions.
+- alpha: per critical value k, 0..k on the first bipartition side and
+  k+1..m, tried downwards, on the other (the complement covers the other
+  side low), with symmetry cuts;
+- count: as graceful, the first vertex at most m // 2; the symmetry cuts keep
+  one labeling per orbit and the complement pairs first labels a and m - a,
+  so the count multiplies back.
 A vertex with exactly one placed neighbour, labeled a, tries labels by falling
 |label - a|, lower first on ties.  Duplicate vertex and edge labels are pruned.
 Tick rule, whatever the order: a used label is skipped for free, every other
@@ -17,6 +20,8 @@ label tried costs one node of the budget; the search stops once nodes exceed
 max_nodes (leaving max_nodes + 1) or, read at every 4096th node, the time
 limit has passed.  So exhausted node counts, counts and alpha outputs (no
 alpha window straddles a neighbour's label) do not depend on the order.
+A budget allows at most VERTEX_CEILING vertices, since the kernel recurses
+once per vertex.
 """
 
 from __future__ import annotations
@@ -129,7 +134,8 @@ def _symmetry_groups(g: Graph, order: list[int]) -> dict[int, list[int]]:
     isomorphic hanging subtrees are swappable by an automorphism, so the
     existence searches may force a canonical label order on the subtree
     roots.  Non-trees fall back to pendant leaves sharing a parent, which is
-    an automorphism in any graph.  Counting stays unpruned.
+    an automorphism in any graph.  No group holds order[0], so the swaps fix
+    it; counting multiplies each kept labeling by the product of len(group)!.
     """
     if is_tree(g):
         children, code = rooted_codes(g, order[0])
@@ -328,10 +334,11 @@ def search_graceful_with_fixed(
 def brute_force_alpha(g: Graph, budget: SearchBudget | None = None) -> SearchResult:
     """First alpha labeling found; non-bipartite graphs fail immediately.
 
-    The search fixes a side assignment and a critical value k, then gives
-    the low side the window 0..k and the high side k+1..m (tried from the
-    top), which keeps the straddle condition true by construction.  All
-    (side, k) runs share one clock.
+    The search fixes a critical value k, then gives the first bipartition
+    side the window 0..k and the other k+1..m (tried from the top), which
+    keeps the straddle condition true by construction.  The complement maps
+    the other side's (k) run onto this side's (m - 1 - k) run, node for node,
+    so only this side is searched.  All k runs share one clock.
     """
     budget = budget or SearchBudget()
     m = g.num_edges
