@@ -20,8 +20,6 @@ label tried costs one node of the budget; the search stops once nodes exceed
 max_nodes (leaving max_nodes + 1) or, read at every 4096th node, the time
 limit has passed.  So exhausted node counts, counts and alpha outputs (no
 alpha window straddles a neighbour's label) do not depend on the order.
-A budget allows at most VERTEX_CEILING vertices, since the kernel recurses
-once per vertex.
 """
 
 from __future__ import annotations

@@ -374,7 +374,6 @@ class TestCliBoundary:
             (None, ["--budget-nodes", "-3"]),
             (None, ["--budget-vertices", "0"]),
             (None, ["--budget-vertices", "-1"]),
-            (None, ["--budget-vertices", "501"]),
         ],
     )
     def test_bad_budget_exits_2(self, workdir, capsys, monkeypatch, env, options):
