@@ -773,3 +773,72 @@ def test_slot_values_match_reference():
             assert got == _reference_slot_values(xs, ys), (xs, ys)
             outcomes[got is None] += 1
     assert outcomes[False] > 2000 and outcomes[True] > 500
+
+
+def _reference_linked_pieces(lob, budget):
+    """The interleaved peel _linked_pieces replaced, body verbatim: each
+    piece is searched as soon as its lobe is peeled."""
+    from lobsterlab.lobster_labeling import _glue_max_labeling, _piece_graph
+
+    for d in (lob, lob.reversed()):
+        pieces = []
+        needed = []
+        for i in range(d.spine_length - 1, -1, -1):
+            counts = Counter(needed)
+            keep = []
+            for br in d.lobes[i]:
+                if counts[br.leaf_count] > 0:
+                    counts[br.leaf_count] -= 1
+                else:
+                    keep.append(br)
+            if any(c > 0 for c in counts.values()):
+                break
+            g, index = _piece_graph(d.spine[i], keep, ())
+            res = _glue_max_labeling(g, index[d.spine[i]], budget)
+            if res.status != FOUND:
+                break
+            pieces.append((g, res.labeling))
+            needed = [br.leaf_count for br in keep]
+        else:
+            return d, pieces[::-1]
+    return None
+
+
+def _perturbed_linked(rng):
+    """A linked lobster with one lobe's branch dropped or one leaf added, so
+    one direction or both run into a deficit partway through the peel."""
+    from test_routes import _linked
+
+    lobes = _linked(rng)
+    i = rng.randrange(len(lobes))
+    counts, pendants = lobes[i]
+    if counts:
+        j = rng.randrange(len(counts))
+        counts = counts[:j] + counts[j + 1:] if rng.random() < 0.5 else (
+            counts[:j] + [counts[j] + 1] + counts[j + 1:]
+        )
+    lobes[i] = (counts, pendants)
+    return lobes
+
+
+def test_linked_pieces_match_reference():
+    """_linked_pieces picks the reference's direction and returns its piece
+    graphs and labelings, or None with it, on the seeded route lobsters and
+    on random proper lobsters with deficit directions."""
+    from lobsterlab.graphs import LOBSTER, classify_tree
+    from lobsterlab.lobster_labeling import _linked_pieces
+    from test_routes import BUDGET, _mixed, _tree, lobster_cases
+
+    trees = [t for _, t in lobster_cases()]
+    rng = random.Random(23)
+    for make in (_perturbed_linked, _mixed) * 150:
+        t = _tree(rng, make(rng))
+        if classify_tree(t) == LOBSTER:
+            trees.append(t)
+    outcomes = Counter()
+    for t in trees:
+        lob = lobster_decompose(t)
+        got = _linked_pieces(lob, BUDGET)
+        assert got == _reference_linked_pieces(lob, BUDGET)
+        outcomes["none" if got is None else "forward" if got[0] == lob else "reversed"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
