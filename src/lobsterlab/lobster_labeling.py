@@ -445,6 +445,26 @@ def _similar_direction(
     return None
 
 
+def _suffix_peel(d: Lobster) -> list[list[Branch]] | None:
+    """The branches each lobe of d keeps in the suffix peel, last lobe
+    first, or None when some lobe lacks a branch it must shed."""
+    kept: list[list[Branch]] = []
+    needed: list[int] = []
+    for lobe in reversed(d.lobes):
+        counts = Counter(needed)
+        keep = []
+        for br in lobe:
+            if counts[br.leaf_count] > 0:
+                counts[br.leaf_count] -= 1
+            else:
+                keep.append(br)
+        if any(c > 0 for c in counts.values()):
+            return None
+        kept.append(keep)
+        needed = [br.leaf_count for br in keep]
+    return kept
+
+
 def _linked_pieces(
     lob: Lobster, budget: SearchBudget | None
 ) -> tuple[Lobster, list[Part]] | None:
@@ -452,30 +472,27 @@ def _linked_pieces(
 
     Suffix peeling, on lob and then on its reversal: the last piece is the
     last reduced lobe; every lobe before it sheds a copy of the following
-    piece's branch multiset.  A direction fails when the subtraction leaves
-    a deficit or some piece admits no glue-max labeling; None when both
-    fail.  Branches of equal leaf count are interchangeable, so which
-    concrete branch is shed is immaterial.
+    piece's branch multiset.  Branches of equal leaf count are
+    interchangeable, so which concrete branch is shed is immaterial.
+
+    The peel is structural and comes first: a direction whose subtraction
+    leaves a deficit at any lobe is dropped before any piece is searched.
+    Only a direction that peels cleanly has its pieces labeled, last lobe
+    first, and it fails at the first piece with no glue-max labeling; None
+    when both directions fail.  Each pinned search runs on its own budget,
+    so the verdict does not depend on the order of the searches.
     """
     for d in (lob, lob.reversed()):
+        kept = _suffix_peel(d)
+        if kept is None:
+            continue
         pieces: list[Part] = []
-        needed: list[int] = []
-        for i in range(d.spine_length - 1, -1, -1):
-            counts = Counter(needed)
-            keep = []
-            for br in d.lobes[i]:
-                if counts[br.leaf_count] > 0:
-                    counts[br.leaf_count] -= 1
-                else:
-                    keep.append(br)
-            if any(c > 0 for c in counts.values()):
-                break
-            g, index = _piece_graph(d.spine[i], keep, ())
-            res = _glue_max_labeling(g, index[d.spine[i]], budget)
+        for glue, keep in zip(reversed(d.spine), kept):
+            g, index = _piece_graph(glue, keep, ())
+            res = _glue_max_labeling(g, index[glue], budget)
             if res.status != FOUND:
                 break
             pieces.append((g, res.labeling))
-            needed = [br.leaf_count for br in keep]
         else:
             return d, pieces[::-1]
     return None

@@ -534,7 +534,8 @@ class TestTreeCertificate:
 
 
 class TestGlueMaxSearchCalls:
-    """The linked route labels each piece while peeling, never twice."""
+    """The linked route peels a direction before it searches any piece, and
+    labels each piece of a cleanly peeled direction once."""
 
     @pytest.fixture()
     def searched(self, monkeypatch):
@@ -575,6 +576,14 @@ class TestGlueMaxSearchCalls:
         with pytest.raises(ConstructionError, match="no linked decomposition"):
             label_pairwise_linked(t)
         assert searched == [6, 6]
+
+    def test_deficit_direction_is_not_searched(self, searched):
+        # forward, the last piece {2, 2} has 7 vertices, but the middle lobe
+        # {1, 2} cannot shed it; reversed, every piece is a single branch
+        t = make_lobster([([1], 0), ([1, 2], 0), ([2, 2], 0)])
+        cert = label_pairwise_linked(t)
+        assert cert.details["pieces"] == 3
+        assert searched == []
 
 
 class TestPendantBlocks:
