@@ -11,10 +11,10 @@ lobster decomposition need only its vertices and their degrees, so they
 strip leaves in place, one pass per level (``strip_levels``).
 
 A Graph is immutable, so it caches what it learns about itself: its
-adjacency, whether it is a tree and its tree class.  ``is_tree``,
-``require_tree``, ``classify_tree``, ``diameter_path`` and the lobster
-decomposition therefore share one connectivity BFS and one classification
-per graph.
+adjacency, whether it is a tree, its first three stripping levels and its
+tree class.  ``is_tree``, ``require_tree``, ``classify_tree``,
+``diameter_path`` and the lobster decomposition therefore share one
+connectivity BFS, one leaf stripping and one classification per graph.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import GraphStructureError
@@ -72,11 +73,19 @@ class Graph:
         return n >= 1 and self.num_edges == n - 1 and is_connected(self)
 
     @cached_property
+    def base_levels(self) -> tuple[dict[int, int], ...]:
+        """The tree, its base and the base of its base: the first three
+        levels of strip_levels, which the classifier and the lobster
+        decomposition both read."""
+        require_tree(self)
+        return tuple(islice(strip_levels(self), 3))
+
+    @cached_property
     def _tree_class(self) -> str:
         require_tree(self)
         if self.num_vertices == 1:
             return SINGLE_VERTEX
-        for kind, level in zip((PATH, CATERPILLAR, LOBSTER), strip_levels(self)):
+        for kind, level in zip((PATH, CATERPILLAR, LOBSTER), self.base_levels):
             if all(d <= 2 for d in level.values()):
                 return kind
         return DEEPER

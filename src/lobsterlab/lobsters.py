@@ -6,17 +6,17 @@ pendant vertices hanging directly off spinal vertices.  Reassembling the
 parts reproduces the source tree's edge set exactly.
 
 The spine comes from the same leaf stripping that classifies the tree
-(graphs.strip_levels): it is the base of the base walked from its
-smaller-id end, else the base (a single vertex or K2), else vertex 0.
+(Graph.base_levels, stripped once per graph): it is the base of the base
+walked from its smaller-id end, else the base (a single vertex or K2),
+else vertex 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .errors import GraphStructureError
-from .graphs import Graph, build_graph, require_tree, strip_levels
+from .graphs import Graph, build_graph
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ def lobster_decompose(t: Graph) -> Lobster:
     The spine is the base of the base walked from its smaller-id end, else
     the base, else vertex 0.
     """
-    require_tree(t)
-    _, b, bb = islice(strip_levels(t), 3)
+    _, b, bb = t.base_levels
     if any(d > 2 for d in bb.values()):
         raise GraphStructureError("tree is deeper than a lobster")
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text, make_lobster, random_balanced_spec
 from lobsterlab.errors import ConstructionError, GraphStructureError
-from lobsterlab import graphs
+from lobsterlab import graphs, lobsters
 from lobsterlab.formats import print_matrix
 from lobsterlab.graphs import build_graph, is_tree, tree_diameter
 from lobsterlab.labelings import verify_alpha, verify_beta
@@ -468,6 +468,33 @@ class TestAutoDispatcher:
         assert cert.construction == route
         assert sum(g is t for g in checked) == 1
         assert all(sum(g is h for h in checked) == 1 for g in checked)
+
+    @pytest.mark.parametrize(
+        "route", ["caterpillar-sweep", "pairwise-balanced", "pairwise-linked"]
+    )
+    def test_one_leaf_stripping_per_graph(self, monkeypatch, lobster26_matrix, route):
+        # classify_tree and lobster_decompose both read the first three
+        # stripping levels; the Graph caches them, so they are stripped once
+        if route == "caterpillar-sweep":
+            t = make_lobster([([], 2), ([], 0), ([], 3), ([], 1)])
+        elif route == "pairwise-balanced":
+            t, _ = matrix_to_graph(lobster26_matrix)
+        else:
+            t = make_lobster([([1], 0), ([1, 2], 0), ([2, 2], 0)])
+        stripped = []
+
+        def counted(g):
+            stripped.append(g)
+            return strip(g)
+
+        strip = graphs.strip_levels
+        # a module that imports the name would bind its own copy
+        for module in (graphs, lobsters):
+            monkeypatch.setattr(module, "strip_levels", counted, raising=False)
+        cert = label_lobster_auto(t)
+        assert cert.construction == route
+        assert sum(g is t for g in stripped) == 1
+        assert all(sum(g is h for h in stripped) == 1 for g in stripped)
 
     def test_deeper_tree_rejected(self):
         legs = build_graph(
