@@ -212,6 +212,28 @@ class TestDiameter4CenterMax:
         assert res.status == "exhausted-none"
 
 
+def test_glue_max_status_matches_pinned_search():
+    """On every tree with n <= 8 and each vertex v, the glue-max labeler
+    finds a labeling exactly when the pinned search with v at m does, and
+    what it finds is graceful with v at m.  Statuses, not labelings, are
+    compared: on stars the direct formula gives the leaves ascending labels
+    where the search gives them descending ones."""
+    from lobsterlab.lobster_labeling import _glue_max_labeling
+    from lobsterlab.search import search_graceful_with_fixed
+
+    checked = Counter()
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            for v in t.vertices():
+                res = _glue_max_labeling(t, v, None)
+                assert res.status == search_graceful_with_fixed(t, {v: t.num_edges}).status
+                if res.status == FOUND:
+                    assert res.labeling.assignment[v] == t.num_edges
+                    assert verify_beta(t, res.labeling)
+                checked[res.status] += 1
+    assert checked[FOUND] > 200 and len(checked) == 2, checked
+
+
 class TestCaterpillarSweep:
     def test_p4_expected_labels(self):
         p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
