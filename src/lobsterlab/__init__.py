@@ -80,12 +80,11 @@ from .lobster_labeling import (
     label_balanced_lobster,
     label_by_search,
     label_caterpillar,
-    label_diameter4_center_max,
+    label_glue_max,
     label_lobster_auto,
     label_pairwise_balanced,
     label_pairwise_linked,
     label_pairwise_similar,
-    label_star_lobe,
     spinal_parity,
 )
 from .search import (

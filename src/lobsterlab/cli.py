@@ -170,11 +170,9 @@ def cmd_classify(args) -> int:
 
 
 def _write_certificate(cert: Certificate, out_dir: str) -> None:
+    """Write the certificate files into out_dir; a path that cannot be a
+    directory (an existing file, or a path under one) is a usage error."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "graph.edges").write_text(formats.print_edges(cert.result_graph))
-    (out / "labeling.txt").write_text(formats.print_labeling(cert.result_labeling))
-    (out / "matrix.txt").write_text(formats.print_matrix(cert.result_matrix))
     meta = {
         "construction": cert.construction,
         "claim": cert.claim,
@@ -184,7 +182,14 @@ def _write_certificate(cert: Certificate, out_dir: str) -> None:
             {str(k): v for k, v in vmap.items()} for vmap in cert.vertex_maps
         ],
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "graph.edges").write_text(formats.print_edges(cert.result_graph))
+        (out / "labeling.txt").write_text(formats.print_labeling(cert.result_labeling))
+        (out / "matrix.txt").write_text(formats.print_matrix(cert.result_matrix))
+        (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise FormatError(f"cannot write {out_dir}: {exc}") from exc
 
 
 def cmd_label(args) -> int:

@@ -232,13 +232,18 @@ def _require_verified(
     return verdicts
 
 
-def _require_bipartite(construction: str, parts: Sequence[Part]) -> None:
+def _require_bipartite(construction: str, parts: Sequence[Part]) -> list[dict[int, int]]:
+    """Each part's 2-colouring as vertex -> side 0 or 1 (graphs.bipartition)."""
+    colors = []
     for idx, (g, _) in enumerate(parts):
-        if bipartition(g) is None:
+        sides = bipartition(g)
+        if sides is None:
             raise ConstructionError(
                 f"{construction}: part {idx} is not bipartite; the implicit "
                 "copy would not be a disjoint copy"
             )
+        colors.append({v: 0 if v in sides[0] else 1 for v in g.vertices()})
+    return colors
 
 
 # -- doubling -----------------------------------------------------------------
@@ -269,18 +274,18 @@ def _cover_block(g: Graph, f: Labeling, extra: Iterable[Cell] = ()) -> LabeledMa
 
 
 def _double_cover_maps(
-    g: Graph, f: Labeling, anchor_label: int, where: Mapping[int, int]
+    g: Graph, f: Labeling, colors: Mapping[int, int], anchor_label: int, where: Mapping[int, int]
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Original/copy maps when the padded adjacency grid acts as biadjacency.
 
-    where says where the slots of the part's cover block (or double_matrix)
-    landed: label lab sits on row slot lab and on column slot m+1+lab.  The
+    colors is the part's 2-colouring from _require_bipartite.  where says
+    where the slots of the part's cover block (or double_matrix) landed:
+    label lab sits on row slot lab and on column slot m+1+lab.  The
     original is the cover component containing the row slot of the anchor
     label; per connected component the side is fixed by its smallest vertex
     when the anchor lies elsewhere.
     """
     m = g.num_edges
-    colors = _part_colors(g)
     comps = connected_components(g)
     comp_of = {v: comp_id for comp_id, comp in enumerate(comps) for v in comp}
     anchor_vertex = f.vertex_with_label(anchor_label)
@@ -307,11 +312,11 @@ def double(part: Part, at_label: int) -> Certificate:
     """
     g, f = part
     _require_verified("double", [part], alpha=False, complete=False)
-    _require_bipartite("double", [part])
+    (colors,) = _require_bipartite("double", [part])
     m = g.num_edges
     matrix = double_matrix(g, f, at_label)
     identity = {vid: vid for vid, _ in matrix.row_slots + matrix.col_slots}
-    orig, copy = _double_cover_maps(g, f, at_label, identity)
+    orig, copy = _double_cover_maps(g, f, colors, at_label, identity)
     cert = _certify(
         "double",
         CLAIM_COMPLETE_ALPHA,
@@ -525,7 +530,7 @@ def chain_with_copies(parts: Sequence[Part]) -> Certificate:
     if len(parts) < 2:
         raise ConstructionError("copy-chain: needs at least two parts")
     _require_verified("copy-chain", parts, alpha=False, complete=True)
-    _require_bipartite("copy-chain", parts)
+    colors = _require_bipartite("copy-chain", parts)
     head = parts[:-1]
     chain, landed = chain_km_matrix([double_matrix(g, f, g.num_edges) for g, f in head])
     tail_g, tail_f = parts[-1]
@@ -534,9 +539,9 @@ def chain_with_copies(parts: Sequence[Part]) -> Certificate:
     )
     vertex_maps = []
     copy_maps = []
-    for (g, f), where in zip(head, landed):
+    for (g, f), part_colors, where in zip(head, colors, landed):
         orig, copy = _double_cover_maps(
-            g, f, g.num_edges, {s: chain_at[v] for s, v in where.items()}
+            g, f, part_colors, g.num_edges, {s: chain_at[v] for s, v in where.items()}
         )
         vertex_maps.append(orig)
         copy_maps.append(copy)
@@ -562,7 +567,7 @@ def star_join(parts: Sequence[Part]) -> Certificate:
     if not parts:
         raise ConstructionError("star-join: needs at least one part")
     _require_verified("star-join", parts, alpha=False, complete=True)
-    _require_bipartite("star-join", parts)
+    colors = _require_bipartite("star-join", parts)
     sizes = {g.num_edges for g, _ in parts}
     if len(sizes) != 1:
         raise ConstructionError(
@@ -582,7 +587,7 @@ def star_join(parts: Sequence[Part]) -> Certificate:
             _cover_block(g, f), i * span, hub - (i + 1) * span,
             rotated=True, mirror=not alone,
         )
-        orig, copy = _double_cover_maps(g, f, m, where)
+        orig, copy = _double_cover_maps(g, f, colors[i], m, where)
         vertex_maps.append(orig)
         copy_maps.append({} if alone else copy)
         for top in {where[m], where[span + m]}:  # the maxima of the part and its copy
@@ -629,6 +634,7 @@ def attach_at_vertices(
     for idx, (g, _) in enumerate(parts):
         if not is_tree(g):
             raise ConstructionError(f"attach: part {idx} must be a tree")
+    colors = _require_bipartite("attach", parts)
     sizes = [g.num_edges for g, _ in parts]
     if not relaxed and len(set(sizes)) != 1:
         raise ConstructionError(
@@ -664,9 +670,10 @@ def attach_at_vertices(
     for i, (g, _) in enumerate(parts):
         # part i reads the block of parts[c] as a cover whose rows landed
         # at offsets[i] and whose columns at offsets[r - i]
-        gc, fc = parts[min(i, r - i)]
+        c = min(i, r - i)
+        gc, fc = parts[c]
         where = builder.place(_cover_block(gc, fc), offsets[i], offsets[r - i])
-        orig, _ = _double_cover_maps(gc, fc, gc.num_edges, where)
+        orig, _ = _double_cover_maps(gc, fc, colors[c], gc.num_edges, where)
         vertex_maps.append({v: orig[isos[i][v]] for v in g.vertices()})
         tops.append(where[gc.num_edges])  # where part i's maximum landed
     for u, v in hg.edges:
@@ -686,14 +693,6 @@ def attach_at_vertices(
     if cert.result_graph.num_edges != expected_edges:
         raise ConstructionError("attach: edge count is off")
     return cert
-
-
-def _part_colors(g: Graph) -> dict[int, int]:
-    parts = bipartition(g)
-    if parts is None:
-        raise ConstructionError("part is not bipartite")
-    part0, _ = parts
-    return {v: 0 if v in part0 else 1 for v in g.vertices()}
 
 
 # -- merge-join chains -------------------------------------------------------------
@@ -749,15 +748,15 @@ def merge_join_chain(parts: Sequence[Part]) -> Certificate:
     if len(parts) < 2:
         raise ConstructionError("merge-chain: needs at least two parts")
     _require_verified("merge-chain", parts, alpha=False, complete=True)
-    _require_bipartite("merge-chain", parts)
+    colors = _require_bipartite("merge-chain", parts)
     g1, f1 = parts[0]
     head_adj = canonical_adjacency(g1, f1)
     doubles = [double_matrix(g, f, g.num_edges) for g, f in parts[1:]]
     matrix, landed = merge_chain_matrix(head_adj, doubles)
     vertex_maps = [landed[0]]
     copy_maps: list[dict[int, int]] = [{}]
-    for (g, f), where in zip(parts[1:], landed[1:]):
-        orig, copy = _double_cover_maps(g, f, g.num_edges, where)
+    for (g, f), part_colors, where in zip(parts[1:], colors[1:], landed[1:]):
+        orig, copy = _double_cover_maps(g, f, part_colors, g.num_edges, where)
         vertex_maps.append(orig)
         copy_maps.append(copy)
     cert = _certify(

@@ -33,8 +33,6 @@ CATERPILLAR = "caterpillar"
 LOBSTER = "lobster"
 DEEPER = "deeper"
 
-TREE_CLASSES = (SINGLE_VERTEX, PATH, CATERPILLAR, LOBSTER, DEEPER)
-
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -159,9 +157,9 @@ def is_tree(g: Graph) -> bool:
     return g._is_tree
 
 
-def require_tree(g: Graph, what: str = "input") -> None:
+def require_tree(g: Graph) -> None:
     if not is_tree(g):
-        raise GraphStructureError(f"{what} is not a tree")
+        raise GraphStructureError("input is not a tree")
 
 
 def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:

@@ -23,11 +23,12 @@ _linked_pieces (a direction with its labeled pieces) and
 _similar_direction (a direction whose lobe pairs match).  So a flag is yes
 exactly when its route gets past its decider.
 
-Every glue-max labeling of a lobe or piece comes from one helper
-(_glue_max_labeling: a single branch directly, any other piece by pinned
-search), and every certificate from one path: _certify_tree
-hands the grid to constructions._certify and then checks that the result
-has the input tree's size, so the certified id map is an isomorphism.
+Every glue-max labeling of a lobe or piece comes from one public
+function, label_glue_max: a lone vertex or a single branch is labeled
+directly and checked with verify_beta, any other piece goes to the pinned
+search.  Every certificate comes from one path: _certify_tree hands the
+grid to constructions._certify and then checks that the result has the
+input tree's size, so the certified id map is an isomorphism.
 
 Which slot an input vertex lands in does not matter to a certificate of
 the input tree, only that the assembled tree is isomorphic to it.  So the
@@ -58,8 +59,6 @@ from .graphs import (
     diameter_path,
     is_tree,
     require_tree,
-    tree_centers,
-    tree_diameter,
 )
 from .lobsters import Branch, Lobster, lobster_decompose
 from .labelings import ALPHA, BETA, Labeling, verify_alpha, verify_beta
@@ -248,29 +247,24 @@ def _balanced_piece(
     return (g, Labeling({v: v for v in g.vertices()}, ALPHA, label[tail])), label
 
 
-def balanced_lobster_graph(spec: BalancedLobsterSpec) -> tuple[Graph, Labeling]:
-    """The concrete piece with ids equal to the construction's labels."""
-    ids = count()
-
-    def branches(leaf_counts: Sequence[int]) -> list[Branch]:
-        return [Branch(next(ids), tuple(islice(ids, c))) for c in leaf_counts]
-
-    piece, _ = _balanced_piece(
-        next(ids), next(ids),
-        list(islice(ids, spec.head_pendants)), list(islice(ids, spec.tail_pendants)),
-        branches(spec.head_leaves), branches(spec.tail_leaves),
-    )
-    return piece
-
-
 def label_balanced_lobster(spec: BalancedLobsterSpec) -> Certificate:
-    """Certified complete alpha labeling of a balanced two-spined piece."""
+    """Certified complete alpha labeling of a balanced two-spined piece,
+    built with vertex ids equal to its labels."""
     bad = violated_balance_equation(spec)
     if bad is not None:
         raise ConstructionError(
             f"piece is not balanced: equation {bad[0]} fails at index {bad[1]}"
         )
-    g, f = balanced_lobster_graph(spec)
+    ids = count()
+
+    def branches(leaf_counts: Sequence[int]) -> list[Branch]:
+        return [Branch(next(ids), tuple(islice(ids, c))) for c in leaf_counts]
+
+    (g, f), _ = _balanced_piece(
+        next(ids), next(ids),
+        list(islice(ids, spec.head_pendants)), list(islice(ids, spec.tail_pendants)),
+        branches(spec.head_leaves), branches(spec.tail_leaves),
+    )
     cert = _certify(
         "balanced-piece",
         CLAIM_COMPLETE_ALPHA,
@@ -286,45 +280,6 @@ def label_balanced_lobster(spec: BalancedLobsterSpec) -> Certificate:
 
 
 # -- glue-max labelings of lobes and pieces --------------------------------------
-
-
-def label_star_lobe(t: Graph, glue: int) -> Labeling:
-    """Single-branch lobe labeled with the glue vertex maximal.
-
-    The shape is glue - center - leaves; the center takes 0, the leaves
-    1..k, the glue vertex k+1.
-    """
-    require_tree(t)
-    if t.degree(glue) != 1:
-        raise GraphStructureError("glue vertex must have exactly one neighbor")
-    center = t.neighbors(glue)[0]
-    leaves = [w for w in t.neighbors(center) if w != glue]
-    if any(t.degree(w) != 1 for w in leaves) or len(leaves) + 1 != t.num_vertices - 1:
-        raise GraphStructureError("lobe is not a single branch")
-    assignment = {center: 0, glue: len(leaves) + 1}
-    for i, w in enumerate(sorted(leaves), start=1):
-        assignment[w] = i
-    f = Labeling(assignment, BETA)
-    verdict = verify_beta(t, f)
-    if not verdict:
-        raise ConstructionError(f"star lobe labeling failed: {verdict.reason}")
-    return f
-
-
-def label_diameter4_center_max(
-    t: Graph, center: int, budget: SearchBudget | None = None
-) -> SearchResult:
-    """Search for a graceful labeling of a small tree pinning center to m.
-
-    Guaranteed to succeed on diameter-4 trees whose center has odd degree;
-    an even-degree failure is informative, not an error.
-    """
-    require_tree(t)
-    if tree_diameter(t) > 4:
-        raise GraphStructureError("tree has diameter above 4")
-    if t.num_vertices > 1 and center not in tree_centers(t):
-        raise GraphStructureError(f"vertex {center} is not a center of the tree")
-    return search_graceful_with_fixed(t, {center: t.num_edges}, budget)
 
 
 def _piece_graph(
@@ -350,21 +305,38 @@ def _piece_graph(
     return g, index
 
 
-def _glue_max_labeling(
-    g: Graph, glue: int, budget: SearchBudget | None
+def label_glue_max(
+    g: Graph, glue: int, budget: SearchBudget | None = None
 ) -> SearchResult:
-    """Graceful labeling of a piece graph with the glue vertex labeled m.
+    """Graceful labeling of g with the glue vertex labeled m.
 
-    A lone glue vertex and a single branch (glue - center - leaves) are
-    labeled directly, whatever their size; any other piece goes to the
-    pinned search.  The result carries the search status, so a failure can
-    say whether the search was exhausted or ran out of budget.
+    A lone vertex and a single branch (glue - center - leaves: m = n - 1,
+    the glue a leaf, its neighbour adjacent to all the rest) are labeled
+    directly, whatever their size: the center takes 0, the leaves 1..m-1 by
+    id, the glue m.  Anything else goes to the pinned search, whose status
+    says whether it was exhausted or ran out of budget.
+
+    Guaranteed to succeed on a diameter-4 tree glued at its centre when the
+    centre has odd degree (checked for n <= 9); an even-degree failure is
+    informative, not an error.
     """
+    if not 0 <= glue < g.num_vertices:
+        raise GraphStructureError(f"glue vertex {glue} is not in the graph")
+    m = g.num_edges
     if g.num_vertices == 1:
         return SearchResult(FOUND, Labeling({glue: 0}, BETA))
-    if g.degree(glue) == 1 and g.degree(g.neighbors(glue)[0]) == g.num_vertices - 1:
-        return SearchResult(FOUND, label_star_lobe(g, glue))
-    return search_graceful_with_fixed(g, {glue: g.num_edges}, budget)
+    if m == g.num_vertices - 1 and g.degree(glue) == 1:
+        center = g.neighbors(glue)[0]
+        if g.degree(center) == m:
+            leaves = sorted(w for w in g.neighbors(center) if w != glue)
+            assignment = {center: 0, glue: m}
+            assignment.update((w, i) for i, w in enumerate(leaves, start=1))
+            f = Labeling(assignment, BETA)
+            verdict = verify_beta(g, f)
+            if not verdict:
+                raise ConstructionError(f"single-branch labeling failed: {verdict.reason}")
+            return SearchResult(FOUND, f)
+    return search_graceful_with_fixed(g, {glue: m}, budget)
 
 
 # -- the caterpillar sweep ---------------------------------------------------------
@@ -489,7 +461,7 @@ def _linked_pieces(
         pieces: list[Part] = []
         for glue, keep in zip(reversed(d.spine), kept):
             g, index = _piece_graph(glue, keep, ())
-            res = _glue_max_labeling(g, index[glue], budget)
+            res = label_glue_max(g, index[glue], budget)
             if res.status != FOUND:
                 break
             pieces.append((g, res.labeling))
@@ -544,26 +516,32 @@ def _balanced_slot_values(
         alike.append(last_alike.get(weights[c]))
         last_alike[weights[c]] = c
 
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return True
+    # depth first over the positions, without recursion: a wide pair has
+    # more cycles than Python's recursion limit.  vi is the next value index
+    # to try at pos, None on first entry; backing up resumes after the
+    # value the earlier position held.
+    pos, vi = 0, None
+    while pos < len(order):
         c = order[pos]
         xw, yw = weights[c]
-        lowest = 0 if alike[pos] is None else chosen[alike[pos]]
-        for vi in range(lowest, len(values)):
-            val = values[vi]
-            if x_need[val] >= xw and y_need[val] >= yw:
-                x_need[val] -= xw
-                y_need[val] -= yw
-                chosen[c] = vi
-                if assign(pos + 1):
-                    return True
-                x_need[val] += xw
-                y_need[val] += yw
-        return False
-
-    if not assign(0):
-        return None
+        if vi is None:
+            vi = 0 if alike[pos] is None else chosen[alike[pos]]
+        while vi < len(values) and (x_need[values[vi]] < xw or y_need[values[vi]] < yw):
+            vi += 1
+        if vi < len(values):
+            x_need[values[vi]] -= xw
+            y_need[values[vi]] -= yw
+            chosen[c] = vi
+            pos, vi = pos + 1, None
+        elif pos == 0:
+            return None
+        else:
+            pos -= 1
+            c = order[pos]
+            vi = chosen[c]
+            x_need[values[vi]] += weights[c][0]
+            y_need[values[vi]] += weights[c][1]
+            vi += 1
     return tuple(
         tuple(values[chosen[cycle_of[side, odd(i)]]] for i in range(1, r + 1))
         for side in (0, 1)
@@ -729,7 +707,7 @@ def _similar_parts(
         glue = chosen.spine[i]
         pulled = sorted(chosen.pendants[i])[:1] if promoted[i] else ()
         g, index = _piece_graph(glue, chosen.lobes[i], pulled)
-        res = _glue_max_labeling(g, index[glue], budget)
+        res = label_glue_max(g, index[glue], budget)
         if res.status != FOUND:
             raise ConstructionError(
                 f"no glue-max labeling for the lobe at spine vertex "

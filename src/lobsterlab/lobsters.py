@@ -13,7 +13,7 @@ else vertex 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GraphStructureError
 from .graphs import Graph, build_graph
@@ -42,7 +42,7 @@ class Lobster:
 
     spine: tuple[int, ...]
     lobes: tuple[tuple[Branch, ...], ...]
-    pendants: tuple[tuple[int, ...], ...] = field(default=())
+    pendants: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if not (len(self.spine) == len(self.lobes) == len(self.pendants)):

@@ -400,6 +400,37 @@ class TestCliBoundary:
         assert captured.out == ""
         assert captured.err == "parse error: --budget-vertices must be at most 500, got 2000\n"
 
+    def test_wide_balanced_lobster_is_labeled(self, tmp_path, capsys):
+        # two spinal vertices with 8 191 one-leaf branches each: 1 180 tie
+        # cycles in the balanced slot solver, above the recursion limit
+        edges = [(0, 1)]
+        for spinal in (0, 1):
+            for _ in range(8191):
+                center = len(edges) + 1
+                edges += [(spinal, center), (center, center + 1)]
+        path = tmp_path / "wide.edges"
+        path.write_text(f"{len(edges) + 1} {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+        assert len(edges) + 1 == 32766
+        assert main(["label", str(path)]) == 0
+        assert capsys.readouterr().out == "labeled via pairwise-balanced (complete-alpha)\n"
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["label", "construct"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, workdir, capsys, command, under):
+        blocker = workdir / "taken"
+        blocker.write_text("")
+        out = blocker / "cert" if under else blocker
+        edges, labels = workdir / "tree9.edges", workdir / "tree9.labels"
+        argv = ["label", str(edges)] if command == "label" else [
+            "construct", "double", "--inputs", f"{edges}:{labels}", "--at", "8"
+        ]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: cannot write {out}:")
+        assert len(captured.err.splitlines()) == 1
+        assert blocker.read_text() == ""
+
     def test_explicit_budget_secs_overrides_env(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("GRACEFUL_BUDGET_SECS", "abc")
         assert main(["search", str(workdir / "tree9.edges"), "--budget-secs", "5"]) == 0

@@ -26,12 +26,11 @@ from lobsterlab.lobster_labeling import (
     is_trivially_balanced,
     label_balanced_lobster,
     label_caterpillar,
-    label_diameter4_center_max,
+    label_glue_max,
     label_lobster_auto,
     label_pairwise_balanced,
     label_pairwise_linked,
     label_pairwise_similar,
-    label_star_lobe,
     spinal_parity,
     violated_balance_equation,
 )
@@ -154,36 +153,32 @@ class TestSpinalParity:
 class TestStarLobe:
     def test_bare_branch(self):
         t = build_graph(2, [(0, 1)])
-        f = label_star_lobe(t, 0)
-        assert f.assignment == {1: 0, 0: 1}
+        res = label_glue_max(t, 0)
+        assert res.labeling.assignment == {1: 0, 0: 1}
 
     def test_three_leaves(self):
         t = build_graph(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
-        f = label_star_lobe(t, 0)
-        assert f.assignment[0] == 4
-        assert verify_beta(t, f)
-
-    def test_wrong_shape_rejected(self):
-        deep = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(GraphStructureError):
-            label_star_lobe(deep, 0)
+        res = label_glue_max(t, 0)
+        assert res.labeling.assignment[0] == 4
+        assert verify_beta(t, res.labeling)
 
 
 class TestDiameter4CenterMax:
     def test_star_center(self):
         star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        res = label_diameter4_center_max(star, 0)
+        res = label_glue_max(star, 0)
         assert res and res.labeling.assignment[0] == 3
 
     def test_single_vertex(self):
         t = build_graph(1, [])
-        res = label_diameter4_center_max(t, 0)
+        res = label_glue_max(t, 0)
         assert res and res.labeling.assignment == {0: 0}
 
-    def test_wrong_shape_rejected(self):
-        p6 = build_graph(6, [(i, i + 1) for i in range(5)])
-        with pytest.raises(GraphStructureError, match="diameter"):
-            label_diameter4_center_max(p6, 2)
+    def test_glue_outside_the_graph_rejected(self):
+        for n in (1, 2, 5):
+            t = build_graph(n, [(0, i) for i in range(1, n)])
+            with pytest.raises(GraphStructureError, match="not in the graph"):
+                label_glue_max(t, n)
 
     def test_odd_center_always_succeeds_up_to_nine(self):
         # exhaustive sweep: diameter-4 trees with odd-degree centers
@@ -197,7 +192,7 @@ class TestDiameter4CenterMax:
                 center = tree_centers(t)[0]
                 if t.degree(center) % 2 == 0:
                     continue
-                res = label_diameter4_center_max(t, center)
+                res = label_glue_max(t, center)
                 assert res.status == FOUND
                 assert res.labeling.assignment[center] == t.num_edges
                 assert verify_beta(t, res.labeling)
@@ -208,7 +203,7 @@ class TestDiameter4CenterMax:
         # glue two one-leaf branches and one two-leaf branch minus one:
         # the shape with branches {1, 2} has no glue-max labeling
         t = build_graph(6, [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5)])
-        res = label_diameter4_center_max(t, 0)
+        res = label_glue_max(t, 0)
         assert res.status == "exhausted-none"
 
 
@@ -218,14 +213,13 @@ def test_glue_max_status_matches_pinned_search():
     what it finds is graceful with v at m.  Statuses, not labelings, are
     compared: on stars the direct formula gives the leaves ascending labels
     where the search gives them descending ones."""
-    from lobsterlab.lobster_labeling import _glue_max_labeling
     from lobsterlab.search import search_graceful_with_fixed
 
     checked = Counter()
     for n in range(1, 9):
         for t in enumerate_trees(n):
             for v in t.vertices():
-                res = _glue_max_labeling(t, v, None)
+                res = label_glue_max(t, v, None)
                 assert res.status == search_graceful_with_fixed(t, {v: t.num_edges}).status
                 if res.status == FOUND:
                     assert res.labeling.assignment[v] == t.num_edges
@@ -833,10 +827,18 @@ def test_slot_values_match_reference():
     assert outcomes[False] > 2000 and outcomes[True] > 500
 
 
+def test_slot_values_cover_more_cycles_than_the_recursion_limit():
+    """r = 8191 has 1 180 tie cycles; the cover is iterative, so it does not
+    overflow Python's stack."""
+    from lobsterlab.lobster_labeling import _balanced_slot_values
+
+    assert _balanced_slot_values([1] * 8191, [1] * 8191) == ((1,) * 8191, (1,) * 8191)
+
+
 def _reference_linked_pieces(lob, budget):
     """The interleaved peel _linked_pieces replaced, body verbatim: each
     piece is searched as soon as its lobe is peeled."""
-    from lobsterlab.lobster_labeling import _glue_max_labeling, _piece_graph
+    from lobsterlab.lobster_labeling import _piece_graph
 
     for d in (lob, lob.reversed()):
         pieces = []
@@ -852,7 +854,7 @@ def _reference_linked_pieces(lob, budget):
             if any(c > 0 for c in counts.values()):
                 break
             g, index = _piece_graph(d.spine[i], keep, ())
-            res = _glue_max_labeling(g, index[d.spine[i]], budget)
+            res = label_glue_max(g, index[d.spine[i]], budget)
             if res.status != FOUND:
                 break
             pieces.append((g, res.labeling))
